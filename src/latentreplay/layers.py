@@ -181,11 +181,11 @@ class Brn(Layer):
         return out
 
     def load_state(self, tensors):
-        gamma, beta = tensors["gamma"], tensors["beta"]
-        if gamma.shape != (self.channels,):
-            raise ShapeError(f"{self.name}: gamma shape {gamma.shape}")
-        self.params["gamma"][...] = gamma
-        self.params["beta"][...] = beta
+        for key in ("gamma", "beta", "mu_mov", "sigma_mov"):
+            if tensors[key].shape != (self.channels,):
+                raise ShapeError(f"{self.name}: {key} shape {tensors[key].shape}")
+        self.params["gamma"][...] = tensors["gamma"]
+        self.params["beta"][...] = tensors["beta"]
         self.mu_mov = tensors["mu_mov"].astype(np.float64)
         self.sigma_mov = tensors["sigma_mov"].astype(np.float64)
 

@@ -215,8 +215,10 @@ class Network:
                 grads[layer.name] = g
         return grads
 
-    def sgd_step(self, grads: Gradients, base_lr: float) -> None:
-        """theta <- theta - base_lr * lr_mult(layer) * g; mult 0 skips."""
+    def sgd_step(self, grads: Gradients, base_lr: float) -> dict:
+        """theta <- theta - base_lr * lr_mult(layer) * g; mult 0 skips.
+        Returns {(layer, param): float64(new) - float64(old)} per moved param."""
+        deltas = {}
         for layer in self.layers:
             g = grads.get(layer.name)
             if not g:
@@ -226,7 +228,10 @@ class Network:
                 continue
             lr = base_lr * mult
             for key, grad in g.items():
+                old = layer.params[key].astype(np.float64)
                 layer.params[key] -= (lr * grad.astype(np.float64)).astype(np.float32)
+                deltas[(layer.name, key)] = layer.params[key] - old
+        return deltas
 
     def trainable_params(self, below_head_only: bool = False):
         """(layer name, param name, array) triples with lr_mult > 0 potential."""

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError, require_finite
 from .rng import SeededRng
 from .tensorio import load_tensor, save_tensor
-
-
-@dataclass
-class ReplayItem:
-    payload: np.ndarray
-    label: int
-    origin_batch: int
-    pattern: np.ndarray | None = None  # debug back-reference for drift
 
 
 @dataclass
@@ -38,8 +30,9 @@ class SparsifierConfig:
     first_batch_only: bool = True
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        require_finite("alpha", self.alpha)
+        if not isinstance(self.first_batch_only, bool):
+            raise ConfigError(f"first_batch_only must be a bool, got {self.first_batch_only!r}")
 
     def active(self, batch_index: int) -> bool:
         if self.alpha == 0.0:
@@ -48,7 +41,12 @@ class SparsifierConfig:
 
 
 class ReplayMemory:
-    """External memory of (payload, label, origin batch) items."""
+    """External memory of (payload, label, origin batch) items, one row
+    each in parallel arrays, oldest first: ``payloads`` (float32),
+    ``labels`` and ``origins`` (int64), and the source ``patterns``
+    (float32) for aging drift, None unless ``store_patterns``. Survivors of
+    a replacement keep their order, so sampled indices (and the RNG
+    stream) mean what they meant for a list of items."""
 
     def __init__(self, capacity: int, rng: SeededRng, kind: str = "native",
                  tap: str | None = None, store_patterns: bool = False):
@@ -62,12 +60,14 @@ class ReplayMemory:
         self.tap = tap
         self.capacity = int(capacity)
         self.rng = rng
-        self.store_patterns = store_patterns
-        self.items: list[ReplayItem] = []
+        self.payloads = np.zeros(0, dtype=np.float32)
+        self.labels = np.zeros(0, dtype=np.int64)
+        self.origins = np.zeros(0, dtype=np.int64)
+        self.patterns = np.zeros(0, dtype=np.float32) if store_patterns else None
         self._last_i = 0
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.labels)
 
     def update(self, patterns: np.ndarray, labels, i: int, payload_fn=None):
         """Fold training batch ``i`` into the memory.
@@ -85,26 +85,23 @@ class ReplayMemory:
             warnings.warn("update_memory called with an empty batch; ignored")
             return 0, 0
         h = min(self.capacity // i, len(labels))
-        replace_n = 0
-        if i > 1 and h > 0:
-            replace_n = min(len(self.items), max(0, len(self.items) + h - self.capacity))
+        if h <= 0:
+            return 0, 0
+        n = len(self)
+        replace_n = min(n, max(0, n + h - self.capacity))
+        keep = np.ones(n, dtype=bool)
         if replace_n:
-            drop = set(self.rng.choice(len(self.items), replace_n).tolist())
-            self.items = [it for j, it in enumerate(self.items) if j not in drop]
-        if h > 0:
-            add_idx = np.sort(self.rng.choice(len(labels), h))
-            payloads = payload_fn(add_idx) if payload_fn is not None else patterns[add_idx]
-            if self.items and payloads.shape[1:] != self.items[0].payload.shape:
-                raise ShapeError("payload shape differs from items already stored")
-            for j, idx in enumerate(add_idx):
-                self.items.append(ReplayItem(
-                    payload=np.array(payloads[j], dtype=np.float32),
-                    label=int(labels[idx]),
-                    origin_batch=i,
-                    pattern=np.array(patterns[idx], dtype=np.float32)
-                    if self.store_patterns else None,
-                ))
-        if len(self.items) > self.capacity:
+            keep[self.rng.choice(n, replace_n)] = False
+        add_idx = np.sort(self.rng.choice(len(labels), h))
+        payloads = payload_fn(add_idx) if payload_fn is not None else patterns[add_idx]
+        if n and payloads.shape[1:] != self.payloads.shape[1:]:
+            raise ShapeError("payload shape differs from items already stored")
+        self.payloads = _keep_then_append(self.payloads, keep, payloads)
+        self.labels = _keep_then_append(self.labels, keep, labels[add_idx])
+        self.origins = _keep_then_append(self.origins, keep, np.full(h, i))
+        if self.patterns is not None:
+            self.patterns = _keep_then_append(self.patterns, keep, patterns[add_idx])
+        if len(self) > self.capacity:
             raise StateError("replay memory exceeded capacity")  # pragma: no cover
         return h, replace_n
 
@@ -112,27 +109,21 @@ class ReplayMemory:
         """k item indices, uniform without replacement (with-replacement
         fallback, signalled by a warning, when k exceeds the memory)."""
         rng = rng or self.rng
-        if k > len(self.items):
+        if k > len(self):
             warnings.warn("minibatch larger than memory; sampling with replacement")
-            return rng.choice(len(self.items), k, replace=True)
-        return rng.choice(len(self.items), k)
+            return rng.choice(len(self), k, replace=True)
+        return rng.choice(len(self), k)
 
     def stacked(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        x = np.stack([self.items[j].payload for j in indices])
-        y = np.array([self.items[j].label for j in indices], dtype=np.int64)
-        return x, y
+        return self.payloads[indices], self.labels[indices]
 
     def occupancy_by_origin(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for it in self.items:
-            out[it.origin_batch] = out.get(it.origin_batch, 0) + 1
-        return out
+        origins, counts = np.unique(self.origins, return_counts=True)
+        return dict(zip(origins.tolist(), counts.tolist()))
 
     def footprint_elements(self) -> int:
         """Stored payload elements (debug pattern refs excluded)."""
-        if not self.items:
-            return 0
-        return len(self.items) * int(np.prod(self.items[0].payload.shape))
+        return self.payloads.size
 
     # -- checkpoint ----------------------------------------------------------
 
@@ -142,16 +133,15 @@ class ReplayMemory:
             "kind": self.kind,
             "tap": self.tap,
             "capacity": self.capacity,
-            "count": len(self.items),
-            "labels": [it.label for it in self.items],
-            "origin_batches": [it.origin_batch for it in self.items],
+            "count": len(self),
+            "labels": self.labels.tolist(),
+            "origin_batches": self.origins.tolist(),
             "last_batch": self._last_i,
         }
         with open(os.path.join(directory, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
-        if self.items:
-            save_tensor(os.path.join(directory, "payloads.lrt"),
-                        np.stack([it.payload for it in self.items]))
+        if len(self):
+            save_tensor(os.path.join(directory, "payloads.lrt"), self.payloads)
 
     @staticmethod
     def load(directory, rng: SeededRng) -> "ReplayMemory":
@@ -159,14 +149,26 @@ class ReplayMemory:
             manifest = json.load(fh)
         rm = ReplayMemory(manifest["capacity"], rng, manifest["kind"], manifest["tap"])
         rm._last_i = manifest["last_batch"]
-        if manifest["count"]:
+        count = manifest["count"]
+        if count > rm.capacity:
+            raise ShapeError(f"manifest count {count} exceeds capacity {rm.capacity}")
+        for key in ("labels", "origin_batches"):
+            if len(manifest[key]) != count:
+                raise ShapeError(f"manifest has {len(manifest[key])} {key} for {count} items")
+        if count:
             payloads = load_tensor(os.path.join(directory, "payloads.lrt"))
-            if len(payloads) != manifest["count"]:
+            if len(payloads) != count:
                 raise ShapeError("payload count differs from manifest")
-            for arr, label, origin in zip(payloads, manifest["labels"],
-                                          manifest["origin_batches"]):
-                rm.items.append(ReplayItem(arr, int(label), int(origin)))
+            rm.payloads = payloads
+            rm.labels = np.array(manifest["labels"], dtype=np.int64)
+            rm.origins = np.array(manifest["origin_batches"], dtype=np.int64)
         return rm
+
+
+def _keep_then_append(stored: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
+    """The kept rows of ``stored`` in order, then ``rows`` in ``stored``'s dtype."""
+    rows = np.array(rows, dtype=stored.dtype)
+    return np.concatenate([stored[keep], rows]) if len(stored) else rows
 
 
 def compose_minibatch(rm: ReplayMemory, batch_size: int, mb: int,
@@ -225,16 +227,15 @@ def aging_drift(rm: ReplayMemory, net, eps: float = 1e-8) -> float:
     activations their source patterns produce through the current net."""
     if rm.kind != "latent":
         raise StateError("aging drift is defined for latent memories")
-    if not rm.items:
+    if not len(rm):
         return 0.0
-    if any(it.pattern is None for it in rm.items):
+    if rm.patterns is None:
         raise StateError("drift needs debug pattern back-references "
                          "(store_patterns=True)")
-    patterns = np.stack([it.pattern for it in rm.items])
-    fresh = net.tap_activations(patterns)
+    fresh = net.tap_activations(rm.patterns)
     total = 0.0
-    for it, now in zip(rm.items, fresh):
-        num = float(np.linalg.norm((it.payload - now).astype(np.float64).ravel()))
+    for stored, now in zip(rm.payloads, fresh):
+        num = float(np.linalg.norm((stored - now).astype(np.float64).ravel()))
         den = float(np.linalg.norm(now.astype(np.float64).ravel()))
         total += num / (den + eps)
-    return total / len(rm.items)
+    return total / len(rm)

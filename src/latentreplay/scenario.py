@@ -155,7 +155,7 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
         acc = trainer.accuracy(scenario.test_x, scenario.test_y, seen_only=seen_only)
         drift = None
         if track_drift and trainer.rm is not None and trainer.rm.kind == "latent" \
-                and trainer.rm.store_patterns and len(trainer.rm):
+                and trainer.rm.patterns is not None and len(trainer.rm):
             drift = aging_drift(trainer.rm, net)
         rows.append(MetricsRow(
             batch_index=k, test_accuracy=acc,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError, require_finite, require_int
 from .kernels import softmax_xent
 from .network import Network
 from .replay import (ReplayMemory, SparsifierConfig, compose_minibatch,
@@ -213,10 +213,17 @@ class StrategyConfig:
                 raise ConfigError("cwr* trains the head only: the tap must sit "
                                   "directly below the output layer "
                                   f"(found {parameterized} above it)")
-        if self.epochs < 1 or self.mb < 1:
-            raise ConfigError("epochs and mb must be >= 1")
-        if self.rm_capacity < 0:
-            raise ConfigError("rm_capacity must be >= 0")
+        require_int("epochs", self.epochs, 1)
+        require_int("mb", self.mb, 1)
+        require_int("rm_capacity", self.rm_capacity, 0)
+        if self.iterations is not None:
+            require_int("iterations", self.iterations, 1)
+        for name in ("lr_first", "lr_head", "lr_other", "si_lambda", "si_xi",
+                     "si_w1", "si_wi", "si_max_f"):
+            require_finite(name, getattr(self, name))
+        if self.lr_other == 0:
+            # the head's rate is applied as the multiple lr_head / lr_other
+            raise ConfigError("lr_other must be > 0")
 
 
 @dataclass
@@ -297,8 +304,7 @@ class ContinualTrainer:
         y = np.asarray(y, dtype=np.int64)
         if len(x) == 0:
             raise ConfigError("empty training batch")
-        classes = sorted(set(int(c) for c in y))
-        self.seen.update(classes)
+        self.seen.update(np.unique(y).tolist())
         self.batch_count = i
         if self.dslda is not None:
             return self._train_batch_dslda(x, y, i)
@@ -308,13 +314,10 @@ class ContinualTrainer:
         base_lr = self._configure_batch(i)
         # the batch trained on is B_i u RM, so the double-memory head manages
         # the classes of the joint pool, not just the native session's
-        head_classes = set(classes)
-        cur_counts = {j: int((y == j).sum()) for j in classes}
-        if self.rm is not None:
-            for item in self.rm.items:
-                head_classes.add(item.label)
-                cur_counts[item.label] = cur_counts.get(item.label, 0) + 1
-        head_classes = sorted(head_classes)
+        pool_counts = np.bincount(y if self.rm is None
+                                  else np.concatenate([y, self.rm.labels]))
+        head_classes = np.flatnonzero(pool_counts).tolist()
+        cur_counts = {j: int(pool_counts[j]) for j in head_classes}
         if self.cwr is not None:
             self.cwr.preinit(net.layer(net.head_name), head_classes)
 
@@ -339,20 +342,18 @@ class ContinualTrainer:
                     y_joint = np.concatenate([y_nat, y_rep])
                     if self.rm.kind == "latent":
                         logits, tapped = net.forward_concat(x_nat, pay)
-                        n_native_rows = n_nat
                     else:
                         logits, tapped = net.forward(np.concatenate([x_nat, pay]))
-                        n_native_rows = n_nat + n_rep
                 else:
                     logits, tapped = net.forward(x_nat)
-                    y_joint, n_native_rows = y_nat, n_nat
+                    y_joint = y_nat
                 loss, dlogits = softmax_xent(logits, y_joint)
                 tap_extra = None
                 if sparsify:
                     pen, dacts = l1_activation_penalty(tapped, cfg.sparsifier.alpha)
                     loss += pen
                     tap_extra = dacts
-                grads = net.backward(dlogits, n_native_rows, tap_grad_extra=tap_extra)
+                grads = net.backward(dlogits, tap_grad_extra=tap_extra)
                 if self.cwr is not None:
                     self._mask_head_grads(grads, head_classes)
                 if self.si is not None:
@@ -362,12 +363,9 @@ class ContinualTrainer:
                         if ln in grads:
                             for pn, g in pg.items():
                                 grads[ln][pn] = grads[ln][pn] + g
-                    before = self.si._snapshot(net)
-                net.sgd_step(grads, base_lr)
+                deltas = net.sgd_step(grads, base_lr)
                 if self.si is not None:
-                    now = self.si._snapshot(net)
-                    delta = {k: now[k] - before[k] for k in now}
-                    self.si.accumulate(grads, delta)
+                    self.si.accumulate(grads, deltas)
                 trace.append(loss)
 
         if self.si is not None:

@@ -316,7 +316,7 @@ def test_criterion_8_cwr_isolation_and_f_bounds():
         n = 20
         x = r.normal((n, 1, 16, 16))
         y = np.array([classes[int(j)] for j in r.randint(0, len(classes), n)])
-        pool_classes = set(y.tolist()) | {it.label for it in trainer.rm.items}
+        pool_classes = set(y.tolist()) | set(trainer.rm.labels.tolist())
         before_w = trainer.cwr.cw_w.copy()
         before_b = trainer.cwr.cw_b.copy()
         trainer.train_batch(x, y)

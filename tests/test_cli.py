@@ -191,6 +191,18 @@ def test_run_invalid_json(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("bad", [{"lr_other": 0}, {"epochs": "4"}, {"iterations": 0},
+                                 {"sparsifier": {"alpha": "x"}}])
+def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
+    cfg = run_config(tmp_path, strategies=[dict({"name": "x", "strategy": "naive"}, **bad)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "latentreplay", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "o")], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_seed_override(tmp_path):
     cfg = run_config(tmp_path, seeds=[5, 6])
     out = tmp_path / "out"

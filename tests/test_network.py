@@ -171,6 +171,34 @@ def test_sgd_step_definition_and_freeze():
     assert np.allclose(net.layer("w1").params["w"], 0.9)
 
 
+def test_sgd_step_returns_applied_deltas_bitwise():
+    net = build_tinynic_network(classes=5, seed=40, width=4, tap="relu2")
+    x = SeededRng(41).normal((6, 1, 16, 16))
+    for frozen in (False, True):
+        net.set_frozen_below_tap(frozen)
+        net.lr_mult["fc"] = 3.0
+        logits, _ = net.forward(x)
+        _, dl = softmax_xent(logits, np.arange(6) % 5)
+        grads = net.backward(dl)
+        if frozen:  # gradients for frozen layers must still leave them unmoved
+            grads.update({l.name: {k: np.ones_like(v) for k, v in l.params.items()}
+                          for l in net.layers[:net.tap_index + 1] if l.params})
+        before = {(l.name, k): v.astype(np.float64)
+                  for l in net.layers for k, v in l.params.items()}
+        deltas = net.sgd_step(grads, base_lr=0.05)
+        moved = {(ln, k) for ln, g in grads.items() for k in g if net.lr_mult[ln] != 0.0}
+        assert set(deltas) == moved and moved
+        for l in net.layers:
+            for k, v in l.params.items():
+                diff = v.astype(np.float64) - before[(l.name, k)]
+                if (l.name, k) in deltas:
+                    assert deltas[(l.name, k)].dtype == np.float64
+                    assert np.array_equal(deltas[(l.name, k)], diff)
+                else:
+                    assert not diff.any()
+    assert ("conv1", "w") not in deltas and net.lr_mult["conv1"] == 0.0
+
+
 def test_lr_mult_zero_everywhere_keeps_parameters():
     net = toy_net(seed=18)
     for name in net.lr_mult:
@@ -258,6 +286,15 @@ def test_checkpoint_round_trip(tmp_path):
     assert not np.allclose(other.predict(x), want)
     other.load_checkpoint(tmp_path / "ckpt")
     assert np.array_equal(other.predict(x), want)
+
+
+@pytest.mark.parametrize("key", ["gamma", "beta", "mu_mov", "sigma_mov"])
+def test_brn_load_state_checks_every_tensor_shape(key):
+    layer = Brn("brn1", 4)
+    tensors = layer.state_tensors()
+    tensors[key] = np.zeros(1, dtype=np.float32)
+    with pytest.raises(ShapeError, match=key):
+        layer.load_state(tensors)
 
 
 def test_spec_round_trip(tmp_path):

@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from latentreplay.errors import ConfigError, StateError
+from latentreplay.accounting import memory_footprint
+from latentreplay.errors import ConfigError, ShapeError, StateError
 from latentreplay.layers import Brn
 from latentreplay.presets import build_tinynic_network
 from latentreplay.replay import (ReplayMemory, SparsifierConfig, aging_drift,
                                  compose_minibatch, l1_activation_penalty,
                                  precompute_latents, sparsity_stats)
 from latentreplay.rng import SeededRng
+from latentreplay.tensorio import save_tensor
 
 from conftest import check_grad_tensor
 
@@ -109,10 +113,10 @@ def test_latent_payloads_via_payload_fn():
 
     rm.update(x, y, 1, payload_fn=payload_fn)
     assert len(rm) == 8
-    for item, j in zip(rm.items, calls["idxs"]):
-        assert np.array_equal(item.payload, x[j] * 2.0)
-        assert item.label == y[j]
-        assert item.origin_batch == 1
+    for payload, label, origin, j in zip(rm.payloads, rm.labels, rm.origins, calls["idxs"]):
+        assert np.array_equal(payload, x[j] * 2.0)
+        assert label == y[j]
+        assert origin == 1
 
 
 def test_footprint_elements():
@@ -120,6 +124,7 @@ def test_footprint_elements():
     x = SeededRng(5).normal((9, 2, 3))
     rm.update(x, np.arange(9), 1)
     assert rm.footprint_elements() == len(rm) * 6
+    assert rm.payloads.nbytes == memory_footprint(len(rm), 6, bytes_per_elem=4)
 
 
 def test_memory_checkpoint_round_trip(tmp_path):
@@ -128,9 +133,85 @@ def test_memory_checkpoint_round_trip(tmp_path):
     back = ReplayMemory.load(tmp_path / "rm", SeededRng(0))
     assert back.capacity == rm.capacity
     assert len(back) == len(rm)
-    for a, b in zip(rm.items, back.items):
-        assert np.array_equal(a.payload, b.payload)
-        assert a.label == b.label and a.origin_batch == b.origin_batch
+    for a, b in zip(zip(rm.payloads, rm.labels, rm.origins),
+                    zip(back.payloads, back.labels, back.origins)):
+        assert np.array_equal(a[0], b[0])
+        assert a[1] == b[1] and a[2] == b[2]
+
+
+@pytest.mark.parametrize("tamper", ["short_labels", "short_origins", "over_capacity",
+                                    "short_payloads"])
+def test_memory_load_rejects_manifest_that_disagrees(tmp_path, tamper):
+    rm, _ = fill_memory(50, [60, 60], seed=9)
+    rm.save(tmp_path / "rm")
+    path = tmp_path / "rm" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if tamper == "short_labels":
+        manifest["labels"].pop()
+    elif tamper == "short_origins":
+        manifest["origin_batches"].pop()
+    elif tamper == "over_capacity":
+        manifest["capacity"] = manifest["count"] - 1
+    else:
+        save_tensor(tmp_path / "rm" / "payloads.lrt", rm.payloads[:-1])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ShapeError):
+        ReplayMemory.load(tmp_path / "rm", SeededRng(0))
+
+
+class ListMemory:
+    """The list-of-items memory the parallel arrays replaced: the reference."""
+
+    def __init__(self, capacity, rng, store_patterns):
+        self.capacity, self.rng, self.store_patterns, self.items = capacity, rng, store_patterns, []
+
+    def update(self, patterns, labels, i, payload_fn=None):
+        h = min(self.capacity // i, len(labels))
+        replace_n = 0
+        if i > 1 and h > 0:
+            replace_n = min(len(self.items), max(0, len(self.items) + h - self.capacity))
+        if replace_n:
+            drop = set(self.rng.choice(len(self.items), replace_n).tolist())
+            self.items = [it for j, it in enumerate(self.items) if j not in drop]
+        if h > 0:
+            add_idx = np.sort(self.rng.choice(len(labels), h))
+            payloads = payload_fn(add_idx) if payload_fn is not None else patterns[add_idx]
+            for j, idx in enumerate(add_idx):
+                pattern = np.array(patterns[idx], dtype=np.float32) if self.store_patterns else None
+                self.items.append((np.array(payloads[j], dtype=np.float32), int(labels[idx]), i,
+                                   pattern))
+        return h, replace_n
+
+    def stacked(self, indices):
+        return (np.stack([self.items[j][0] for j in indices]),
+                np.array([self.items[j][1] for j in indices], dtype=np.int64))
+
+
+@pytest.mark.parametrize("latent", [False, True])
+@pytest.mark.parametrize("store_patterns", [False, True])
+def test_arrays_match_list_reference(latent, store_patterns):
+    for seed in range(4):
+        sizes = SeededRng(100 + seed).randint(1, 90, 12)
+        capacity = 40 + 20 * seed
+        ref = ListMemory(capacity, SeededRng(seed), store_patterns)
+        rm = ReplayMemory(capacity, SeededRng(seed), kind="latent" if latent else "native",
+                          tap="t", store_patterns=store_patterns)
+        for i, n in enumerate(sizes, start=1):
+            x, y = make_batch(int(n), label_base=i, dim=3, seed=10 * seed + i)
+            payload_fn = (lambda idxs, x=x: x[idxs] * 2.0 - 1.0) if latent else None
+            assert rm.update(x, y, i, payload_fn) == ref.update(x, y, i, payload_fn)
+            assert len(rm) == len(ref.items)
+            assert np.array_equal(rm.payloads, np.stack([it[0] for it in ref.items]))
+            assert rm.labels.tolist() == [it[1] for it in ref.items]
+            assert rm.origins.tolist() == [it[2] for it in ref.items]
+            if store_patterns:
+                assert np.array_equal(rm.patterns, np.stack([it[3] for it in ref.items]))
+            else:
+                assert rm.patterns is None
+            idx = rm.sample(min(len(rm), 16), SeededRng(1000 + i))
+            got, want = rm.stacked(idx), ref.stacked(idx)
+            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # -- compose_minibatch -----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from latentreplay.errors import ConfigError
 from latentreplay.layers import Dense
 from latentreplay.presets import build_tinynic_network
+from latentreplay.replay import SparsifierConfig
 from latentreplay.rng import SeededRng
 from latentreplay.strategies import (ContinualTrainer, CwrHead, DsldaState,
                                      SiState, StrategyConfig)
@@ -431,7 +432,7 @@ def test_cwr_isolation_bitwise():
         x = r.normal((n, 1, 16, 16))
         y = np.array([classes[int(j)] for j in r.randint(0, len(classes), n)])
         # the head manages the classes of B_i u RM
-        pool_classes = set(y.tolist()) | {it.label for it in trainer.rm.items}
+        pool_classes = set(y.tolist()) | set(trainer.rm.labels.tolist())
         before_w = trainer.cwr.cw_w.copy()
         before_b = trainer.cwr.cw_b.copy()
         trainer.train_batch(x, y)
@@ -479,6 +480,22 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         ContinualTrainer(net, StrategyConfig(
             strategy="naive", replay_kind="latent", tap="relu1"))  # tap mismatch
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "4"), ("mb", "8"), ("rm_capacity", "30"), ("epochs", True), ("mb", 8.0),
+    ("iterations", 0), ("iterations", 2.5), ("lr_first", float("nan")), ("lr_first", -0.1),
+    ("lr_head", float("inf")), ("lr_other", 0), ("lr_other", "0.01"), ("si_lambda", -1.0),
+    ("si_xi", float("nan")), ("si_max_f", None), ("alpha", "x"), ("alpha", float("inf")),
+    ("first_batch_only", "no"),
+])
+def test_config_rejects_bad_types_and_ranges(field, value):
+    net = build_tinynic_network(classes=6, seed=27)
+    with pytest.raises(ConfigError, match=field):
+        if field in ("alpha", "first_batch_only"):
+            SparsifierConfig(**{field: value})
+        else:
+            ContinualTrainer(net, StrategyConfig(**{field: value}))
 
 
 def test_seen_only_scoring_option():
