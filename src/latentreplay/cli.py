@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import accounting
-from .errors import ConfigError, ShapeError, StateError, TensorFormatError
+from .errors import (ConfigError, ShapeError, StateError, TensorFormatError, require_finite,
+                     require_int)
 from .network import Network
 from .presets import build_tinynic_network
 from .replay import SparsifierConfig
@@ -101,14 +102,20 @@ class ExperimentConfig:
         names = [n for n, _ in self.strategies]
         if len(set(names)) != len(names):
             raise ConfigError("strategy names must be unique")
-        self.seeds = [int(s) for s in doc.get("seeds", [0])]
-        if not self.seeds:
-            raise ConfigError("seeds list must not be empty")
+        self.seeds = doc.get("seeds", [0])
+        if not isinstance(self.seeds, list) or not self.seeds:
+            raise ConfigError("seeds must be a non-empty list")
+        for seed in self.seeds:
+            require_int("seeds[]", seed, 0)
         self.include_cumulative = bool(doc.get("include_cumulative", False))
-        self.cumulative_epochs = int(doc.get("cumulative_epochs", 8))
-        self.cumulative_mb = int(doc.get("cumulative_mb", 32))
-        self.cumulative_lr = float(doc.get("cumulative_lr", 0.001))
-        self.eval_every = int(doc.get("eval_every", 1))
+        self.cumulative_epochs = doc.get("cumulative_epochs", 8)
+        self.cumulative_mb = doc.get("cumulative_mb", 32)
+        self.cumulative_lr = doc.get("cumulative_lr", 0.001)
+        self.eval_every = doc.get("eval_every", 1)
+        require_int("cumulative_epochs", self.cumulative_epochs, 1)
+        require_int("cumulative_mb", self.cumulative_mb, 1)
+        require_finite("cumulative_lr", self.cumulative_lr)
+        require_int("eval_every", self.eval_every, 1)
         self.record_timing = bool(doc.get("record_timing", True))
         self.track_drift = bool(doc.get("track_drift", False))
         self.output_dir = doc.get("output_dir")
@@ -127,7 +134,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown builtin network {block.get('builtin')!r}")
         return build_tinynic_network(
             classes=classes, tap=tap or block.get("tap", "relu3"),
-            seed=seed, width=int(block.get("width", 8)),
+            seed=seed, width=block.get("width", 8),
             avg_rate=float(block.get("avg_rate", 0.99)))
 
 
@@ -139,8 +146,9 @@ def _load_json(path):
 # -- subcommands --------------------------------------------------------------
 
 
-def _run_one(cfg: ExperimentConfig, scenario: NicScenario, name: str,
-             strat: StrategyConfig, seed: int):
+def _prepare(cfg: ExperimentConfig, scenario: NicScenario, strat: StrategyConfig,
+             seed: int) -> tuple[Network, StrategyConfig]:
+    """Build one strategy block's network and check the block against it."""
     tap = strat.tap
     if strat.strategy in ("cwr*", "dslda") and tap is None:
         tap = "pool"
@@ -149,6 +157,12 @@ def _run_one(cfg: ExperimentConfig, scenario: NicScenario, name: str,
     if cfg.track_drift and strat.replay_kind == "latent":
         replace["store_patterns"] = True  # drift needs the debug back-references
     strat = dataclasses.replace(strat, **replace)
+    strat.validate(net)
+    return net, strat
+
+
+def _run_one(cfg: ExperimentConfig, scenario: NicScenario, name: str, net: Network,
+             strat: StrategyConfig, seed: int):
     rows = run_protocol(net, strat, scenario, seed=seed, eval_every=cfg.eval_every,
                         track_drift=cfg.track_drift, record_timing=cfg.record_timing)
     return (name, seed), rows
@@ -164,18 +178,20 @@ def cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     scenario = cfg.load_scenario()
-    jobs = [(name, strat, seed) for name, strat in cfg.strategies for seed in seeds]
+    # every block is checked before the first one trains
+    jobs = [(name, *_prepare(cfg, scenario, strat, seed), seed)
+            for name, strat in cfg.strategies for seed in seeds]
     workers = max(1, int(os.environ.get("LR_THREADS", "1") or "1"))
     results: dict = {}
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_run_one, cfg, scenario, n, s, sd) for n, s, sd in jobs]
+            futs = [pool.submit(_run_one, cfg, scenario, *job) for job in jobs]
             for fut in futs:
                 key, rows = fut.result()
                 results[key] = rows
     else:
-        for n, s, sd in jobs:
-            key, rows = _run_one(cfg, scenario, n, s, sd)
+        for job in jobs:
+            key, rows = _run_one(cfg, scenario, *job)
             results[key] = rows
 
     cumulative: dict[int, MetricsRow] = {}

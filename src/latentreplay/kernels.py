@@ -2,8 +2,23 @@
 
 All kernels take and return float32 arrays but accumulate contractions
 in float64, so finite-difference gradient checks at 1e-3 relative
-tolerance stay meaningful. Plain loops/einsum only; reduction order is
-fixed, so outputs are bit-identical across repeated calls.
+tolerance stay meaningful. Reduction order is fixed by the shapes alone,
+so outputs are bit-identical across repeated calls:
+
+- conv2d is one batched GEMM of a float64 im2col matrix
+  ``[groups, n*ho*wo, c_g*kh*kw]`` with the kernel (Chellapilla et al.
+  2006, "High Performance Convolutional Neural Networks for Document
+  Processing").
+- conv2d_backward takes one of two paths, picked by the kernel's shape.
+  Dense and grouped convs get dkern as ``dy^T @ cols`` and dx as
+  ``dy @ kern``, scatter-added over the kh*kw taps in (i, j) order.
+  Depthwise convs (one channel in and one filter per group) loop over
+  the taps on the padded float64 input: a per-channel sum for dkern and
+  a channel-wise product added into dx.
+
+conv2d returns a C-contiguous array. Batch Renormalization reduces its
+float64 moments over axes (0, 2, 3) in memory order, so the same values
+in another layout give different moving moments.
 """
 
 from __future__ import annotations
@@ -32,12 +47,28 @@ def conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
+def _padded64(x: np.ndarray, pad: int) -> np.ndarray:
+    xp = x.astype(np.float64)
+    return np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xp
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.ndarray:
+    """[n, c, hp, wp] -> [groups, n*ho*wo, c_g*kh*kw], rows in (n, ho, wo)
+    order and columns in (c, i, j) order."""
+    n, c = xp.shape[:2]
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2:4]
+    win = win.reshape(n, groups, c // groups, ho, wo, kh, kw)
+    return win.transpose(1, 0, 3, 4, 2, 5, 6).reshape(groups, n * ho * wo, -1)
+
+
 def conv2d(x: np.ndarray, kern: np.ndarray, stride: int = 1, pad: int = 0,
            groups: int = 1) -> np.ndarray:
-    """Grouped 2-D cross-correlation.
+    """Grouped 2-D cross-correlation as one batched im2col GEMM.
 
     x: [n, c, h, w]; kern: [f, c/groups, kh, kw]. groups == c with a
-    single-channel kernel gives a depthwise convolution.
+    single-channel kernel gives a depthwise convolution. Returns a
+    C-contiguous [n, f, ho, wo] array.
     """
     n, c, h, w = x.shape
     f, c_g, kh, kw = kern.shape
@@ -47,39 +78,63 @@ def conv2d(x: np.ndarray, kern: np.ndarray, stride: int = 1, pad: int = 0,
         raise ShapeError(f"kernel expects {c_g} channels/group, input has {c // groups}")
     ho = conv_out_extent(h, kh, stride, pad)
     wo = conv_out_extent(w, kw, stride, pad)
-
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    win = win.reshape(n, groups, c_g, ho, wo, kh, kw).astype(np.float64)
-    kg = kern.reshape(groups, f // groups, c_g, kh, kw).astype(np.float64)
-    out = np.einsum("ngchwij,gfcij->ngfhw", win, kg)
-    return out.reshape(n, f, ho, wo).astype(np.float32)
+    cols = _im2col(_padded64(x, pad), kh, kw, stride, groups)
+    kg = kern.reshape(groups, f // groups, -1).astype(np.float64)
+    out = (cols @ kg.transpose(0, 2, 1)).reshape(groups, n, ho, wo, f // groups)
+    return np.ascontiguousarray(out.transpose(1, 0, 4, 2, 3).reshape(n, f, ho, wo),
+                                dtype=np.float32)
 
 
 def conv2d_backward(x: np.ndarray, kern: np.ndarray, dy: np.ndarray,
                     stride: int = 1, pad: int = 0, groups: int = 1):
     """Gradients (dx, dkern) of conv2d for upstream gradient dy."""
+    return _conv2d_grads(x, kern, dy, stride, pad, groups, need_dx=True)
+
+
+def conv2d_weight_grad(x: np.ndarray, kern: np.ndarray, dy: np.ndarray,
+                       stride: int = 1, pad: int = 0, groups: int = 1) -> np.ndarray:
+    """dkern of conv2d alone, for a layer whose input gradient is unused."""
+    return _conv2d_grads(x, kern, dy, stride, pad, groups, need_dx=False)[1]
+
+
+def _conv2d_grads(x, kern, dy, stride, pad, groups, need_dx):
     n, c, h, w = x.shape
     f, c_g, kh, kw = kern.shape
     f_g = f // groups
     _, _, ho, wo = dy.shape
-    dyg = dy.reshape(n, groups, f_g, ho, wo).astype(np.float64)
+    xp = _padded64(x, pad)
+    dxp = np.zeros_like(xp) if need_dx else None
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    win = win.reshape(n, groups, c_g, ho, wo, kh, kw).astype(np.float64)
-    dkern = np.einsum("ngchwij,ngfhw->gfcij", win, dyg).reshape(f, c_g, kh, kw)
+    def tap(i, j):
+        """The strided [n, c, ho, wo] plane of xp that kernel tap (i, j) reads."""
+        return (slice(None), slice(None), slice(i, i + stride * ho, stride),
+                slice(j, j + stride * wo, stride))
 
-    kg = kern.reshape(groups, f_g, c_g, kh, kw).astype(np.float64)
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            contrib = np.einsum("ngfhw,gfc->ngchw", dyg, kg[:, :, :, i, j])
-            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
-                contrib.reshape(n, c, ho, wo)
-            )
+    if c_g == f_g == 1:
+        dy64 = dy.astype(np.float64)
+        k64 = kern.reshape(1, f, kh, kw).astype(np.float64)
+        dkern = np.empty((f, kh, kw), dtype=np.float64)
+        for i in range(kh):
+            for j in range(kw):
+                dkern[:, i, j] = np.einsum("nchw,nchw->c", xp[tap(i, j)], dy64)
+                if need_dx:
+                    dxp[tap(i, j)] += dy64 * k64[:, :, i, j, None, None]
+    else:
+        dyg = dy.reshape(n, groups, f_g, ho * wo).astype(np.float64)
+        dyg = dyg.transpose(1, 0, 3, 2).reshape(groups, n * ho * wo, f_g)
+        dkern = dyg.transpose(0, 2, 1) @ _im2col(xp, kh, kw, stride, groups)
+        if need_dx:
+            kg = kern.reshape(groups, f_g, -1).astype(np.float64)
+            dcols = (dyg @ kg).reshape(groups, n, ho, wo, c_g, kh, kw)
+            for i in range(kh):
+                for j in range(kw):
+                    plane = dcols[..., i, j].transpose(1, 0, 4, 2, 3)
+                    dxp[tap(i, j)] += plane.reshape(n, c, ho, wo)
+    dkern = dkern.reshape(f, c_g, kh, kw).astype(np.float32)
+    if not need_dx:
+        return None, dkern
     dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
-    return dx.astype(np.float32), dkern.astype(np.float32)
+    return dx.astype(np.float32), dkern
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -41,8 +41,9 @@ class Layer:
     def forward(self, x: np.ndarray, mode: str):
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray, cache):
-        """Returns (dx, param_grads)."""
+    def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
+        """Returns (dx, param_grads). With ``need_dx`` false the caller
+        does not read dx, and a layer may return None for it."""
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -69,10 +70,12 @@ class Dense(Layer):
         y = kernels.matmul(x, self.params["w"]) + self.params["b"]
         return y, x
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         x = cache
         dw = (x.astype(np.float64).T @ dy.astype(np.float64)).astype(np.float32)
         db = dy.astype(np.float64).sum(axis=0).astype(np.float32)
+        if not need_dx:
+            return None, {"w": dw, "b": db}
         dx = (dy.astype(np.float64) @ self.params["w"].astype(np.float64).T).astype(np.float32)
         return dx, {"w": dw, "b": db}
 
@@ -109,9 +112,11 @@ class Conv(Layer):
         y = kernels.conv2d(x, self.params["w"], self.stride, self.pad, self.groups)
         return y, x
 
-    def backward(self, dy, cache):
-        dx, dw = kernels.conv2d_backward(cache, self.params["w"], dy,
-                                         self.stride, self.pad, self.groups)
+    def backward(self, dy, cache, need_dx=True):
+        args = (cache, self.params["w"], dy, self.stride, self.pad, self.groups)
+        if not need_dx:
+            return None, {"w": kernels.conv2d_weight_grad(*args)}
+        dx, dw = kernels.conv2d_backward(*args)
         return dx, {"w": dw}
 
     def spec(self):
@@ -142,7 +147,7 @@ class Relu(Layer):
         y = np.maximum(x, 0.0).astype(np.float32)
         return y, x > 0
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         return (dy * cache).astype(np.float32), {}
 
 
@@ -221,7 +226,7 @@ class Brn(Layer):
         y = gamma * xhat + beta
         return y.astype(np.float32), ("moving", xhat)
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         gamma = self._bview(self.params["gamma"].astype(np.float64), dy.ndim)
         axes = (0, 2, 3) if dy.ndim == 4 else (0,)
         dyf = dy.astype(np.float64)
@@ -258,7 +263,7 @@ class GlobalAvgPool(Layer):
     def forward(self, x, mode):
         return kernels.global_avg_pool(x), x.shape
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         _, _, h, w = cache
         return kernels.global_avg_pool_backward(dy, h, w), {}
 
@@ -272,5 +277,5 @@ class Flatten(Layer):
     def forward(self, x, mode):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, need_dx=True):
         return dy.reshape(cache), {}

@@ -207,10 +207,12 @@ class Network:
         d = d[:n_native]
         if tap_grad_extra is not None:
             d = d + tap_grad_extra[:n_native]
-        if self.frozen_below_tap or n_native == 0 or not ctx["below"]:
+        below = ctx["below"]
+        if self.frozen_below_tap or n_native == 0 or not below:
             return grads
-        for layer, cache in reversed(ctx["below"]):
-            d, g = layer.backward(d, cache)
+        for layer, cache in reversed(below):
+            # nothing reads the gradient with respect to the network input
+            d, g = layer.backward(d, cache, need_dx=layer is not below[0][0])
             if g:
                 grads[layer.name] = g
         return grads

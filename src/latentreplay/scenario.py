@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TensorFormatError
+from .errors import ConfigError, TensorFormatError, require_int
 from .network import Network
 from .replay import aging_drift
 from .rng import SeededRng
@@ -145,6 +145,7 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
     if net.class_count < scenario.classes:
         raise ConfigError(f"network scores {net.class_count} classes, "
                           f"scenario has {scenario.classes}")
+    require_int("eval_every", eval_every, 1)
     trainer = ContinualTrainer(net, strategy_cfg, seed)
     rows = []
     n = len(scenario.batches)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from latentreplay import cli
 from latentreplay.cli import main
 from latentreplay.scenario import generate_tinynic, load_dataset, ScenarioParams
 
@@ -192,15 +193,46 @@ def test_run_invalid_json(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"lr_other": 0}, {"epochs": "4"}, {"iterations": 0},
-                                 {"sparsifier": {"alpha": "x"}}])
+                                 {"sparsifier": {"alpha": "x"}},
+                                 {"config": {"seeds": ["a"]}}, {"config": {"seeds": [1.5]}},
+                                 {"config": {"seeds": []}},
+                                 {"config": {"cumulative_epochs": "x"}},
+                                 {"config": {"cumulative_mb": 0}},
+                                 {"config": {"cumulative_lr": "x"}},
+                                 {"config": {"eval_every": "2"}}])
 def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
-    cfg = run_config(tmp_path, strategies=[dict({"name": "x", "strategy": "naive"}, **bad)])
+    """A bad strategy-block value, or a bad top-level one under "config"."""
+    bad = dict(bad)
+    top = bad.pop("config", {})
+    cfg = run_config(tmp_path, strategies=[dict({"name": "x", "strategy": "naive"}, **bad)],
+                     **top)
     proc = subprocess.run(
         [sys.executable, "-m", "latentreplay", "run", "--config", str(cfg),
          "--out", str(tmp_path / "o")], capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("eval_every", {"eval_every": 0}),
+    ("width", {"network": {"builtin": "tinynic", "width": 0}})])
+def test_run_zero_divisor_is_config_error(tmp_path, capsys, key, overrides):
+    cfg = run_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be an integer >= 1")
+
+
+def test_run_checks_every_block_before_training(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_protocol", lambda *a, **k: calls.append(a))
+    cfg = run_config(tmp_path, strategies=[
+        {"name": "good", "strategy": "naive", "epochs": 1, "mb": 16},
+        {"name": "bad", "strategy": "naive", "lr_other": 0}])
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert calls == []
+    assert list(out.iterdir()) == []
 
 
 def test_run_seed_override(tmp_path):

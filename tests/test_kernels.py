@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from latentreplay import kernels
 from latentreplay.errors import ShapeError
@@ -49,6 +50,59 @@ def conv2d_reference(x, kern, stride=1, pad=0, groups=1):
                                        * float(kern[fi, ci, ki, kj])
                     out[b, fi, oi, oj] = acc
     return out.astype(np.float32)
+
+
+def conv2d_einsum(x, kern, stride=1, pad=0, groups=1):
+    """The 7-D window einsum that conv2d replaced; bitwise reference."""
+    n, c, h, w = x.shape
+    f, c_g, kh, kw = kern.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = win.reshape(n, groups, c_g, ho, wo, kh, kw).astype(np.float64)
+    kg = kern.reshape(groups, f // groups, c_g, kh, kw).astype(np.float64)
+    out = np.einsum("ngchwij,gfcij->ngfhw", win, kg)
+    return out.reshape(n, f, ho, wo).astype(np.float32)
+
+
+def conv2d_backward_einsum(x, kern, dy, stride=1, pad=0, groups=1):
+    """The einsum (dx, dkern) that conv2d_backward replaced; bitwise reference."""
+    n, c, h, w = x.shape
+    f, c_g, kh, kw = kern.shape
+    f_g = f // groups
+    _, _, ho, wo = dy.shape
+    dyg = dy.reshape(n, groups, f_g, ho, wo).astype(np.float64)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = win.reshape(n, groups, c_g, ho, wo, kh, kw).astype(np.float64)
+    dkern = np.einsum("ngchwij,ngfhw->gfcij", win, dyg).reshape(f, c_g, kh, kw)
+    kg = kern.reshape(groups, f_g, c_g, kh, kw).astype(np.float64)
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            contrib = np.einsum("ngfhw,gfc->ngchw", dyg, kg[:, :, :, i, j])
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
+                contrib.reshape(n, c, ho, wo)
+            )
+    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
+    return dx.astype(np.float32), dkern.astype(np.float32)
+
+
+# (c, hw, f, kernel, stride, pad, groups): the five TinyNIC convs at width 8,
+# then one grouped conv with 1 < groups < c
+CONV_SHAPES = {
+    "conv1": (1, 16, 8, 4, 2, 1, 1),
+    "conv2_dw": (8, 8, 8, 3, 1, 1, 8),
+    "conv2_sep": (8, 8, 16, 1, 1, 0, 1),
+    "conv3_dw": (16, 8, 16, 4, 2, 1, 16),
+    "conv3_sep": (16, 4, 32, 1, 1, 0, 1),
+    "grouped": (8, 8, 12, 3, 1, 1, 4),
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 # -- matmul -------------------------------------------------------------------
@@ -190,6 +244,24 @@ def test_kernel_outputs_finite():
     k = rng.normal((4, 3, 3, 3)) * 100
     assert np.isfinite(kernels.conv2d(x, k, pad=1)).all()
     assert np.isfinite(kernels.matmul(x.reshape(2, -1), rng.normal((108, 4)))).all()
+
+
+@pytest.mark.parametrize("n", [1, 48, 256])
+@pytest.mark.parametrize("name", list(CONV_SHAPES))
+def test_conv_bit_identical_to_einsum(name, n):
+    c, hw, f, k, stride, pad, groups = CONV_SHAPES[name]
+    r = SeededRng(13)
+    x = r.normal((n, c, hw, hw))
+    kern = r.normal((f, c // groups, k, k))
+    y = kernels.conv2d(x, kern, stride, pad, groups)
+    assert y.flags.c_contiguous
+    assert same_bits(y, conv2d_einsum(x, kern, stride, pad, groups))
+    dy = r.normal(y.shape)
+    dx, dk = kernels.conv2d_backward(x, kern, dy, stride, pad, groups)
+    dx_ref, dk_ref = conv2d_backward_einsum(x, kern, dy, stride, pad, groups)
+    assert same_bits(dx, dx_ref)
+    assert same_bits(dk, dk_ref)
+    assert same_bits(kernels.conv2d_weight_grad(x, kern, dy, stride, pad, groups), dk_ref)
 
 
 # -- pooling ------------------------------------------------------------------

@@ -160,6 +160,35 @@ def test_frozen_below_tap_skips_lower_gradients():
     assert "head" in grads
 
 
+@pytest.mark.parametrize("make", [lambda: build_tinynic_network(classes=6, seed=5, width=4),
+                                  lambda: toy_net(seed=6)], ids=["tinynic", "dense"])
+def test_backward_skips_network_input_grad_with_same_param_grads(make):
+    net = make()
+    x = SeededRng(7).normal((10,) + net.input_shape)
+    logits, _ = net.forward(x)
+    _, dl = softmax_xent(logits, np.arange(10) % 4)
+    first, asked = net.layers[0], []
+    backward = first.backward
+    first.backward = lambda dy, cache, need_dx=True: (
+        asked.append(need_dx) or backward(dy, cache, need_dx))
+    grads = net.backward(dl)
+    del first.backward
+    assert asked == [False]
+    # the same chain with every input gradient computed
+    full, d = {}, dl
+    for layer, cache in reversed(net._ctx["below"] + net._ctx["above"]):
+        dy, (d, g) = d, layer.backward(d, cache)
+        if g:
+            full[layer.name] = g
+    assert d.shape == x.shape
+    assert first.backward(dy, net._ctx["below"][0][1], need_dx=False)[0] is None
+    assert grads.keys() == full.keys()
+    for name, g in full.items():
+        for key, arr in g.items():
+            assert np.array_equal(grads[name][key].view(np.uint32), arr.view(np.uint32)), \
+                (name, key)
+
+
 def test_sgd_step_definition_and_freeze():
     layer = Dense("w1", 1, 1)
     layer.params["w"] = np.array([[1.0]], dtype=np.float32)

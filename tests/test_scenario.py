@@ -139,6 +139,8 @@ def test_run_protocol_eval_every():
     assert rows[-1].batch_index == len(scen.batches)
     assert all(r.batch_index % 3 == 0 or r.batch_index == len(scen.batches)
                for r in rows)
+    with pytest.raises(ConfigError, match="eval_every"):
+        run_protocol(net, cfg, scen, seed=0, eval_every=0)
 
 
 def test_one_batch_scenario_equals_direct_training():
