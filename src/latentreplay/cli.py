@@ -50,7 +50,8 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
 def _scenario_params_from(block: dict) -> tuple[ScenarioParams, int]:
     fields = {f.name for f in dataclasses.fields(ScenarioParams)}
     _check_keys(block, fields | {"seed"}, "scenario.generator")
-    seed = int(block.get("seed", 0))
+    seed = block.get("seed", 0)
+    require_int("seed", seed, 0)
     kwargs = {k: v for k, v in block.items() if k in fields}
     if "pattern_shape" in kwargs:
         kwargs["pattern_shape"] = tuple(kwargs["pattern_shape"])
@@ -135,7 +136,7 @@ class ExperimentConfig:
         return build_tinynic_network(
             classes=classes, tap=tap or block.get("tap", "relu3"),
             seed=seed, width=block.get("width", 8),
-            avg_rate=float(block.get("avg_rate", 0.99)))
+            avg_rate=block.get("avg_rate", 0.99))
 
 
 def _load_json(path):

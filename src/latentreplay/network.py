@@ -190,6 +190,11 @@ class Network:
         lower part is skipped entirely when frozen. ``tap_grad_extra`` is
         added to the native tap gradient (auxiliary losses on the tap
         activations, e.g. the L1 sparsifier).
+
+        A layer computes its input gradient only when a layer below it
+        reads it: the network's first layer never does, and the lowest
+        layer above the tap does not when backward stops at the tap (lower
+        part frozen, no native rows, or no lower part).
         """
         if self._ctx is None:
             raise StateError("backward called without a preceding train-mode forward")
@@ -199,17 +204,19 @@ class Network:
         if len(dlogits) != ctx["n_rows"]:
             raise ShapeError(f"dlogits has {len(dlogits)} rows, forward had {ctx['n_rows']}")
         grads: Gradients = {}
+        above, below = ctx["above"], ctx["below"]
+        stop_at_tap = self.frozen_below_tap or n_native == 0 or not below
         d = dlogits
-        for layer, cache in reversed(ctx["above"]):
-            d, g = layer.backward(d, cache)
+        for layer, cache in reversed(above):
+            d, g = layer.backward(d, cache,
+                                  need_dx=not stop_at_tap or layer is not above[0][0])
             if g:
                 grads[layer.name] = g
+        if stop_at_tap:
+            return grads
         d = d[:n_native]
         if tap_grad_extra is not None:
             d = d + tap_grad_extra[:n_native]
-        below = ctx["below"]
-        if self.frozen_below_tap or n_native == 0 or not below:
-            return grads
         for layer, cache in reversed(below):
             # nothing reads the gradient with respect to the network input
             d, g = layer.backward(d, cache, need_dx=layer is not below[0][0])

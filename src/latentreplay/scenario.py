@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TensorFormatError, require_int
+from .errors import ConfigError, TensorFormatError, require_finite, require_int
 from .network import Network
 from .replay import aging_drift
 from .rng import SeededRng
@@ -39,6 +39,12 @@ class ScenarioParams:
     walk_bound: float = 0.5
 
     def validate(self) -> None:
+        for name in ("classes", "instances_per_class", "frames_per_session",
+                     "first_batch_classes", "first_batch_instances",
+                     "test_frames_per_instance"):
+            require_int(name, getattr(self, name), 0)
+        for name in ("instance_jitter", "step_sigma", "walk_bound"):
+            require_finite(name, getattr(self, name))
         if self.classes < 2:
             raise ConfigError("need at least two classes")
         if not (1 <= self.first_batch_classes <= self.classes):

@@ -9,6 +9,7 @@ latent rehearsal memory.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -112,12 +113,19 @@ class SiState:
         self.theta_ref = now
 
     def penalty(self, net: Network):
-        """(loss, gradient dict) of lambda * sum F (theta - theta_ref)^2."""
+        """(loss, gradient dict) of lambda * sum F (theta - theta_ref)^2.
+
+        Layers at learning-rate multiplier 0 are skipped: they were frozen
+        at the start of the batch, after ``consolidate`` took theta_ref,
+        so their term is exactly 0; backward returns no gradient for them,
+        so the trainer would drop theirs."""
         loss = 0.0
         grads: dict = {}
         if self.lam == 0.0:
             return 0.0, grads
         for ln, pn in self.keys:
+            if net.lr_mult[ln] == 0.0:
+                continue
             theta = net.layer(ln).params[pn].astype(np.float64)
             diff = theta - self.theta_ref[(ln, pn)]
             f = self.importance[(ln, pn)]
@@ -363,6 +371,9 @@ class ContinualTrainer:
                         if ln in grads:
                             for pn, g in pg.items():
                                 grads[ln][pn] = grads[ln][pn] + g
+                if not math.isfinite(loss):
+                    raise StateError(f"non-finite loss {loss} at batch {i}, step "
+                                     f"{len(trace) + 1}: the run diverged")
                 deltas = net.sgd_step(grads, base_lr)
                 if self.si is not None:
                     self.si.accumulate(grads, deltas)

@@ -199,7 +199,15 @@ def test_run_invalid_json(tmp_path):
                                  {"config": {"cumulative_epochs": "x"}},
                                  {"config": {"cumulative_mb": 0}},
                                  {"config": {"cumulative_lr": "x"}},
-                                 {"config": {"eval_every": "2"}}])
+                                 {"config": {"eval_every": "2"}},
+                                 {"config": {"scenario": {"generator": dict(SMALL_GEN,
+                                                                            classes="4")}}},
+                                 {"config": {"scenario": {"generator": dict(SMALL_GEN,
+                                                                            seed="x")}}},
+                                 {"config": {"network": {"builtin": "tinynic",
+                                                         "avg_rate": "x"}}},
+                                 {"config": {"network": {"builtin": "tinynic",
+                                                         "avg_rate": 1.5}}}])
 def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     """A bad strategy-block value, or a bad top-level one under "config"."""
     bad = dict(bad)
@@ -211,6 +219,22 @@ def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
          "--out", str(tmp_path / "o")], capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_diverging_stops_with_one_runtime_error_line(tmp_path):
+    cfg = run_config(tmp_path, strategies=[{"name": "x", "strategy": "naive", "epochs": 1,
+                                            "mb": 16, "lr_first": 1e6, "lr_head": 1e6,
+                                            "lr_other": 1e6}])
+    proc = subprocess.run(
+        [sys.executable, "-m", "latentreplay", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "o")], capture_output=True, text=True)
+    assert proc.returncode == 2
+    # numpy's overflow warnings come first; the error itself is one line
+    errors = [l for l in proc.stderr.splitlines() if "error:" in l]
+    assert errors == ["runtime error: non-finite loss nan at batch 3, step 1: "
+                      "the run diverged"]
+    assert proc.stderr.splitlines()[-1] == errors[0]
     assert "Traceback" not in proc.stderr
 
 

@@ -264,6 +264,17 @@ def test_conv_bit_identical_to_einsum(name, n):
     assert same_bits(kernels.conv2d_weight_grad(x, kern, dy, stride, pad, groups), dk_ref)
 
 
+
+@pytest.mark.parametrize("n", [1, 48, 256])
+@pytest.mark.parametrize("name", [k for k in CONV_SHAPES if k != "grouped"])
+def test_padded64_bit_identical_to_np_pad(name, n):
+    c, hw, _, _, _, pad, _ = CONV_SHAPES[name]
+    x = SeededRng(14).normal((n, c, hw, hw))
+    ref = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = kernels._padded64(x, pad)
+    assert xp.dtype == np.float64 and xp.shape == ref.shape
+    assert np.array_equal(xp.view(np.uint64), ref.view(np.uint64))
+
 # -- pooling ------------------------------------------------------------------
 
 

@@ -160,6 +160,65 @@ def test_frozen_below_tap_skips_lower_gradients():
     assert "head" in grads
 
 
+def record_need_dx(layer):
+    """Wrap ``layer.backward`` to log the need_dx of each call; ``del
+    layer.backward`` restores it."""
+    asked, backward = [], layer.backward
+    layer.backward = lambda dy, cache, need_dx=True: (
+        asked.append(need_dx) or backward(dy, cache, need_dx))
+    return asked
+
+
+def assert_same_grads(grads, ref):
+    assert grads.keys() == ref.keys()
+    for name, g in ref.items():
+        for key, arr in g.items():
+            assert np.array_equal(grads[name][key].view(np.uint32), arr.view(np.uint32)), \
+                (name, key)
+
+
+@pytest.mark.parametrize("how", ["concat_frozen", "from"])
+@pytest.mark.parametrize("tap, lowest", [("relu3", "conv3_dw"), ("pool", "fc")])
+def test_backward_stopping_at_tap_skips_tap_grad_with_same_param_grads(tap, lowest, how):
+    net = build_tinynic_network(classes=6, seed=5, width=4, tap=tap)
+    r = SeededRng(8)
+    latent = r.normal((7,) + net.tap_shape)
+    if how == "concat_frozen":
+        net.set_frozen_below_tap(True)
+        logits, _ = net.forward_concat(r.normal((3,) + net.input_shape), latent)
+    else:
+        logits = net.forward_from(latent)
+    _, dl = softmax_xent(logits, np.arange(len(logits)) % 6)
+    above = net._ctx["above"]
+    assert above[0][0] is net.layer(lowest)
+    asked = record_need_dx(net.layer(lowest))
+    grads = net.backward(dl)
+    del net.layer(lowest).backward
+    assert asked == [False]
+    # the same upper chain with every input gradient computed
+    full, d = {}, dl
+    for layer, cache in reversed(above):
+        d, g = layer.backward(d, cache)
+        if g:
+            full[layer.name] = g
+    assert d.shape == (len(logits),) + net.tap_shape
+    assert_same_grads(grads, full)
+
+
+@pytest.mark.parametrize("tap, lowest", [("relu3", "conv3_dw"), ("pool", "fc")])
+def test_backward_into_trainable_lower_part_keeps_tap_grad(tap, lowest):
+    net = build_tinynic_network(classes=6, seed=5, width=4, tap=tap)
+    r = SeededRng(9)
+    logits, _ = net.forward_concat(r.normal((3,) + net.input_shape),
+                                   r.normal((7,) + net.tap_shape))
+    _, dl = softmax_xent(logits, np.arange(len(logits)) % 6)
+    asked = record_need_dx(net.layer(lowest))
+    grads = net.backward(dl)
+    del net.layer(lowest).backward
+    assert asked == [True]
+    assert "conv1" in grads
+
+
 @pytest.mark.parametrize("make", [lambda: build_tinynic_network(classes=6, seed=5, width=4),
                                   lambda: toy_net(seed=6)], ids=["tinynic", "dense"])
 def test_backward_skips_network_input_grad_with_same_param_grads(make):
@@ -167,10 +226,8 @@ def test_backward_skips_network_input_grad_with_same_param_grads(make):
     x = SeededRng(7).normal((10,) + net.input_shape)
     logits, _ = net.forward(x)
     _, dl = softmax_xent(logits, np.arange(10) % 4)
-    first, asked = net.layers[0], []
-    backward = first.backward
-    first.backward = lambda dy, cache, need_dx=True: (
-        asked.append(need_dx) or backward(dy, cache, need_dx))
+    first = net.layers[0]
+    asked = record_need_dx(first)
     grads = net.backward(dl)
     del first.backward
     assert asked == [False]
@@ -182,11 +239,7 @@ def test_backward_skips_network_input_grad_with_same_param_grads(make):
             full[layer.name] = g
     assert d.shape == x.shape
     assert first.backward(dy, net._ctx["below"][0][1], need_dx=False)[0] is None
-    assert grads.keys() == full.keys()
-    for name, g in full.items():
-        for key, arr in g.items():
-            assert np.array_equal(grads[name][key].view(np.uint32), arr.view(np.uint32)), \
-                (name, key)
+    assert_same_grads(grads, full)
 
 
 def test_sgd_step_definition_and_freeze():
@@ -343,6 +396,12 @@ def test_duplicate_layer_names_rejected():
 def test_unknown_tap_rejected():
     with pytest.raises(ConfigError):
         Network([Dense("a", 2, 2)], input_shape=(2,), tap="zzz")
+
+
+@pytest.mark.parametrize("avg_rate", ["x", 1.5, -0.1, float("nan")])
+def test_tinynic_avg_rate_outside_unit_interval_rejected(avg_rate):
+    with pytest.raises(ConfigError, match="avg_rate"):
+        build_tinynic_network(classes=4, avg_rate=avg_rate)
 
 
 def test_input_shape_mismatch_raises():

@@ -115,6 +115,9 @@ def test_invalid_params_rejected():
         generate_tinynic(ScenarioParams(classes=1), seed=0)
     with pytest.raises(ConfigError):
         generate_tinynic(ScenarioParams(first_batch_classes=99), seed=0)
+    for bad in ({"classes": "4"}, {"frames_per_session": 2.5}, {"step_sigma": "x"}):
+        with pytest.raises(ConfigError):
+            generate_tinynic(ScenarioParams(**bad), seed=0)
 
 
 # -- protocol ----------------------------------------------------------------

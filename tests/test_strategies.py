@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from latentreplay.errors import ConfigError
+from latentreplay.errors import ConfigError, StateError
 from latentreplay.layers import Dense
 from latentreplay.presets import build_tinynic_network
 from latentreplay.replay import SparsifierConfig
 from latentreplay.rng import SeededRng
+from latentreplay.scenario import ScenarioParams, generate_tinynic
 from latentreplay.strategies import (ContinualTrainer, CwrHead, DsldaState,
                                      SiState, StrategyConfig)
 
@@ -243,6 +244,71 @@ def test_f_nondecreasing_and_bounded_across_batches():
             assert np.all(f >= prev[k] - 1e-12)
             assert np.all(f <= 0.001)
             prev[k] = f.copy()
+
+
+def penalty_all_keys(si, net):
+    """The SI penalty summed over every key, frozen layers included."""
+    loss, grads = 0.0, {}
+    if si.lam == 0.0:
+        return 0.0, grads
+    for ln, pn in si.keys:
+        diff = net.layer(ln).params[pn].astype(np.float64) - si.theta_ref[(ln, pn)]
+        f = si.importance[(ln, pn)]
+        loss += float(si.lam * (f * diff * diff).sum())
+        grads.setdefault(ln, {})[pn] = (2.0 * si.lam * f * diff).astype(np.float32)
+    return loss, grads
+
+
+SMALL_STREAM = ScenarioParams(classes=4, instances_per_class=2, frames_per_session=10,
+                              first_batch_classes=2, first_batch_instances=1,
+                              test_frames_per_instance=5)
+
+
+def test_si_penalty_skipping_frozen_layers_keeps_the_loss_trace(monkeypatch):
+    scen = generate_tinynic(SMALL_STREAM, seed=3)
+    skipped = SiState.penalty
+    frozen_checks = []
+
+    def checked(si, net):
+        for ln, pn in si.keys:
+            if net.lr_mult[ln] == 0.0:
+                theta = net.layer(ln).params[pn].astype(np.float64)
+                assert np.all(theta - si.theta_ref[(ln, pn)] == 0.0), (ln, pn)
+                frozen_checks.append((ln, pn))
+        return skipped(si, net)
+
+    def run(penalty):
+        monkeypatch.setattr(SiState, "penalty", penalty)
+        net = build_tinynic_network(classes=4, seed=1, width=4, tap="pool")
+        cfg = StrategyConfig(strategy="ar1*", replay_kind="latent", rm_capacity=30,
+                             epochs=1, mb=16, lr_first=0.03, lr_head=0.09, lr_other=0.009)
+        trainer = ContinualTrainer(net, cfg, seed=1)
+        trace = []
+        for batch in scen.batches:
+            trace += trainer.train_batch(batch.x, batch.y).loss_trace
+        return np.array(trace), trainer.si
+
+    trace, si = run(checked)
+    ref_trace, _ = run(penalty_all_keys)
+    assert frozen_checks
+    assert any(si.importance[k].any() for k in frozen_checks)
+    assert np.array_equal(trace.view(np.uint64), ref_trace.view(np.uint64))
+
+
+@pytest.mark.parametrize("kw, where", [
+    ({"strategy": "naive"}, "batch 3, step 1"),
+    ({"strategy": "ar1*", "replay_kind": "latent", "rm_capacity": 20}, "batch 2, step 1"),
+    ({"strategy": "ar1*free", "replay_kind": "latent", "rm_capacity": 20},
+     "batch 2, step 1")], ids=["naive", "ar1*", "ar1*free"])
+def test_diverging_run_stops_with_state_error(kw, where):
+    scen = generate_tinynic(SMALL_STREAM, seed=3)
+    net = build_tinynic_network(classes=4, seed=0, width=4)
+    cfg = StrategyConfig(epochs=1, mb=16, lr_first=1e6, lr_head=1e6, lr_other=1e6, **kw)
+    trainer = ContinualTrainer(net, cfg, seed=0)
+    with np.errstate(all="ignore"), \
+            pytest.raises(StateError, match=f"non-finite loss .* {where}:"):
+        for batch in scen.batches:
+            trainer.train_batch(batch.x, batch.y)
 
 
 # -- DSLDA ------------------------------------------------------------------------
