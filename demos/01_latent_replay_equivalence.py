@@ -28,7 +28,8 @@ replay_y = np.arange(20) % 4
 net_latent = toy_net(seed=7)
 net_native = toy_net(seed=7)
 for net in (net_latent, net_native):
-    net.set_frozen_below_tap(True, freeze_moments=True)
+    net.freeze_below_tap(moments=True)  # rate 0 and pinned BRN moments
+    net.lr_mult.update(upper_norm=0.05, head=0.05)
 
 # the external memory of the latent run stores tap activations once
 latents = net_latent.tap_activations(replay_x)
@@ -44,12 +45,12 @@ for step in range(50):
     # latent run: 6 rows travel the lower layers, 10 are injected at the tap
     logits, _ = net_latent.forward_concat(pool[ni], latents[ri])
     _, dl = softmax_xent(logits, y_joint)
-    net_latent.sgd_step(net_latent.backward(dl, n_native=6), 0.05)
+    net_latent.sgd_step(net_latent.backward(dl))
 
     # native run: all 16 rows travel the whole network
     logits, _ = net_native.forward(np.concatenate([pool[ni], replay_x[ri]]))
     _, dl = softmax_xent(logits, y_joint)
-    net_native.sgd_step(net_native.backward(dl, n_native=16), 0.05)
+    net_native.sgd_step(net_native.backward(dl))
 
 worst = 0.0
 for name in ("upper_norm", "head"):

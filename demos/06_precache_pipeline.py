@@ -17,7 +17,8 @@ from latentreplay import (ReplayMemory, SeededRng, build_tinynic_network,
 
 rng = SeededRng(9)
 net = build_tinynic_network(classes=10, seed=4, tap="pool")
-net.set_frozen_below_tap(True, freeze_moments=True)
+net.freeze_below_tap(moments=True)
+net.lr_mult["fc"] = 0.5  # the head, the only layer above the tap
 
 # an already-populated replay memory of older sessions (500 latent
 # patterns of classes 0..8, each class around its own prototype)
@@ -61,7 +62,7 @@ for epoch in range(8):
         y = np.concatenate([np.full(n_nat, 9), y_rep])
         logits = net.forward_from(lat)
         loss, dl = softmax_xent(logits, y)
-        net.sgd_step(net.backward(dl, n_native=0), 0.5)
+        net.sgd_step(net.backward(dl))
         steps += 1
 print(f"{steps} head-only steps in {time.time() - t0:.2f}s; final loss "
       f"{loss:.3f}")

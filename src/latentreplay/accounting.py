@@ -88,11 +88,6 @@ class LayerCostTable:
         with open(path) as fh:
             return LayerCostTable.from_csv_text(fh.read())
 
-    def to_csv(self) -> str:
-        out = ["name,neurons,ops,weights"]
-        out += [f"{r.name},{r.neurons},{r.ops},{r.weights}" for r in self.rows]
-        return "\n".join(out) + "\n"
-
     @staticmethod
     def from_network(net: Network, include_input: bool = True) -> "LayerCostTable":
         """Derive a table from layer shapes.

@@ -9,8 +9,6 @@ lower part entirely when it is frozen.
 
 from __future__ import annotations
 
-import copy
-import json
 import os
 
 import numpy as np
@@ -36,8 +34,9 @@ class Network:
         self.head_name = head_name or names[-1]
         if self.head_name not in names:
             raise ConfigError(f"head layer {self.head_name!r} not in network")
+        # per-layer learning rates, which sgd_step applies as given (absolute
+        # rates despite the name); a rate of 0 freezes the layer
         self.lr_mult = {n: 1.0 for n in names}
-        self.frozen_below_tap = False
         self._shapes = self._propagate_shapes()
         self._ctx = None
 
@@ -74,19 +73,18 @@ class Network:
 
     # -- freezing ----------------------------------------------------------
 
-    def set_frozen_below_tap(self, flag: bool, freeze_moments: bool = False) -> None:
-        """Freeze (or release) every layer at or below the tap.
+    @property
+    def frozen_below_tap(self) -> bool:
+        """Every layer at or below the tap has rate 0."""
+        return all(self.lr_mult[l.name] == 0.0 for l in self.layers[:self.tap_index + 1])
 
-        Freezing zeroes their learning-rate multipliers; ``freeze_moments``
-        additionally pins the BRN moving moments in the lower part.
-        """
-        self.frozen_below_tap = flag
-        ti = self.tap_index
-        for i, layer in enumerate(self.layers[:ti + 1]):
-            if flag:
-                self.lr_mult[layer.name] = 0.0
+    def freeze_below_tap(self, moments: bool = False) -> None:
+        """Set the rate of every layer at or below the tap to 0;
+        ``moments`` also pins the BRN moving moments there."""
+        for layer in self.layers[:self.tap_index + 1]:
+            self.lr_mult[layer.name] = 0.0
             if isinstance(layer, Brn):
-                layer.moments_frozen = flag and freeze_moments
+                layer.moments_frozen = moments
 
     # -- forward variants ----------------------------------------------------
 
@@ -155,21 +153,15 @@ class Network:
 
     def tap_activations(self, x: np.ndarray, chunk: int = 256) -> np.ndarray:
         """Eval-mode activations at the tap (no caches, no moment updates)."""
-        outs = []
-        for lo in range(0, len(x), chunk):
-            out = self._run(self.layers[:self.tap_index + 1], x[lo:lo + chunk], EVAL)
-            outs.append(out)
-        return np.concatenate(outs, axis=0)
+        return self._chunked(self.layers[:self.tap_index + 1], x, chunk)
 
     def predict(self, x: np.ndarray, chunk: int = 256) -> np.ndarray:
         """Eval-mode logits, computed in chunks."""
-        outs = []
-        for lo in range(0, len(x), chunk):
-            cur = x[lo:lo + chunk]
-            for layer in self.layers:
-                cur, _ = layer.forward(cur, EVAL)
-            outs.append(cur)
-        return np.concatenate(outs, axis=0)
+        return self._chunked(self.layers, x, chunk)
+
+    def _chunked(self, layers, x, chunk):
+        return np.concatenate([self._run(layers, x[lo:lo + chunk], EVAL)
+                               for lo in range(0, len(x), chunk)], axis=0)
 
     def _check_input(self, x):
         if x.shape[1:] != self.input_shape:
@@ -181,15 +173,15 @@ class Network:
 
     # -- backward / update ---------------------------------------------------
 
-    def backward(self, dlogits: np.ndarray, n_native: int | None = None,
+    def backward(self, dlogits: np.ndarray,
                  tap_grad_extra: np.ndarray | None = None) -> Gradients:
         """Backprop from dlogits through the last train-mode forward.
 
-        Replay rows stop at the tap boundary: only the first ``n_native``
-        rows of the tap gradient continue into the lower part, and the
-        lower part is skipped entirely when frozen. ``tap_grad_extra`` is
-        added to the native tap gradient (auxiliary losses on the tap
-        activations, e.g. the L1 sparsifier).
+        Replay rows stop at the tap boundary: only the native rows of the
+        tap gradient continue into the lower part, and the lower part is
+        skipped entirely when frozen. ``tap_grad_extra`` is added to the
+        native tap gradient (auxiliary losses on the tap activations, e.g.
+        the L1 sparsifier).
 
         A layer computes its input gradient only when a layer below it
         reads it: the network's first layer never does, and the lowest
@@ -199,8 +191,7 @@ class Network:
         if self._ctx is None:
             raise StateError("backward called without a preceding train-mode forward")
         ctx = self._ctx
-        if n_native is None:
-            n_native = ctx["n_native"]
+        n_native = ctx["n_native"]
         if len(dlogits) != ctx["n_rows"]:
             raise ShapeError(f"dlogits has {len(dlogits)} rows, forward had {ctx['n_rows']}")
         grads: Gradients = {}
@@ -224,36 +215,20 @@ class Network:
                 grads[layer.name] = g
         return grads
 
-    def sgd_step(self, grads: Gradients, base_lr: float) -> dict:
-        """theta <- theta - base_lr * lr_mult(layer) * g; mult 0 skips.
+    def sgd_step(self, grads: Gradients) -> dict:
+        """theta <- theta - lr_mult(layer) * g; rate 0 skips the layer.
         Returns {(layer, param): float64(new) - float64(old)} per moved param."""
         deltas = {}
         for layer in self.layers:
             g = grads.get(layer.name)
-            if not g:
+            lr = self.lr_mult[layer.name]
+            if not g or lr == 0.0:
                 continue
-            mult = self.lr_mult[layer.name]
-            if mult == 0.0:
-                continue
-            lr = base_lr * mult
             for key, grad in g.items():
                 old = layer.params[key].astype(np.float64)
                 layer.params[key] -= (lr * grad.astype(np.float64)).astype(np.float32)
                 deltas[(layer.name, key)] = layer.params[key] - old
         return deltas
-
-    def trainable_params(self, below_head_only: bool = False):
-        """(layer name, param name, array) triples with lr_mult > 0 potential."""
-        out = []
-        for layer in self.layers:
-            if below_head_only and layer.name == self.head_name:
-                continue
-            for key, arr in layer.params.items():
-                out.append((layer.name, key, arr))
-        return out
-
-    def clone(self) -> "Network":
-        return copy.deepcopy(self)
 
     # -- serialization -------------------------------------------------------
 
@@ -296,10 +271,6 @@ class Network:
                 raise ConfigError(f"unknown layer kind {kind!r}")
             cur = layers[-1].out_shape(cur)
         return Network(layers, input_shape, doc["tap"], doc.get("head"))
-
-    def save_spec(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_spec(), fh, indent=2)
 
     def save_checkpoint(self, directory) -> None:
         from .tensorio import save_tensor

@@ -121,10 +121,6 @@ class ReplayMemory:
         origins, counts = np.unique(self.origins, return_counts=True)
         return dict(zip(origins.tolist(), counts.tolist()))
 
-    def footprint_elements(self) -> int:
-        """Stored payload elements (debug pattern refs excluded)."""
-        return self.payloads.size
-
     # -- checkpoint ----------------------------------------------------------
 
     def save(self, directory) -> None:

@@ -83,7 +83,8 @@ class SiState:
             raise ConfigError("SI damping xi must be > 0")
         self.lam, self.xi = float(lam), float(xi)
         self.w1, self.wi, self.max_f = float(w1), float(wi), float(max_f)
-        self.keys = [(ln, pn) for ln, pn, _ in net.trainable_params(below_head_only=True)]
+        self.keys = [(l.name, pn) for l in net.layers if l.name != net.head_name
+                     for pn in l.params]
         self.theta_ref = self._snapshot(net)
         self.omega = {k: np.zeros_like(v) for k, v in self.theta_ref.items()}
         self.importance = {k: np.zeros_like(v) for k, v in self.theta_ref.items()}
@@ -115,8 +116,8 @@ class SiState:
     def penalty(self, net: Network):
         """(loss, gradient dict) of lambda * sum F (theta - theta_ref)^2.
 
-        Layers at learning-rate multiplier 0 are skipped: they were frozen
-        at the start of the batch, after ``consolidate`` took theta_ref,
+        Layers at learning rate 0 are skipped: their rate was set at the
+        start of the batch, after ``consolidate`` took theta_ref,
         so their term is exactly 0; backward returns no gradient for them,
         so the trainer would drop theirs."""
         loss = 0.0
@@ -229,9 +230,6 @@ class StrategyConfig:
         for name in ("lr_first", "lr_head", "lr_other", "si_lambda", "si_xi",
                      "si_w1", "si_wi", "si_max_f"):
             require_finite(name, getattr(self, name))
-        if self.lr_other == 0:
-            # the head's rate is applied as the multiple lr_head / lr_other
-            raise ConfigError("lr_other must be > 0")
 
 
 @dataclass
@@ -276,18 +274,16 @@ class ContinualTrainer:
 
     # -- phases ----------------------------------------------------------
 
-    def _configure_batch(self, i: int) -> float:
+    def _configure_batch(self, i: int) -> None:
+        """Write batch i's per-layer learning rates into ``net.lr_mult``."""
         net, cfg = self.net, self.cfg
         if i == 1:
-            for name in net.lr_mult:
-                net.lr_mult[name] = 1.0
-            return cfg.lr_first
+            net.lr_mult.update(dict.fromkeys(net.lr_mult, cfg.lr_first))
+            return
+        net.lr_mult.update(dict.fromkeys(net.lr_mult, cfg.lr_other))
+        net.lr_mult[net.head_name] = cfg.lr_head
         if cfg.replay_kind == "latent" or cfg.strategy == "cwr*":
-            net.set_frozen_below_tap(True, freeze_moments=cfg.freeze_below_tap_moments)
-        for layer in net.layers[net.tap_index + 1:] if net.frozen_below_tap else net.layers:
-            net.lr_mult[layer.name] = 1.0
-        net.lr_mult[net.head_name] = cfg.lr_head / cfg.lr_other
-        return cfg.lr_other
+            net.freeze_below_tap(moments=cfg.freeze_below_tap_moments)
 
     def _mask_head_grads(self, grads: dict, classes) -> None:
         g = grads.get(self.net.head_name)
@@ -307,6 +303,9 @@ class ContinualTrainer:
         return BatchReport(i, steps=0, mean_loss=float("nan"), loss_trace=[],
                            train_ms=ms)
 
+    # a diverging run overflows before its loss or logits read non-finite,
+    # and is reported once, as a StateError
+    @np.errstate(over="ignore", invalid="ignore")
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> BatchReport:
         i = self.batch_count + 1
         y = np.asarray(y, dtype=np.int64)
@@ -319,7 +318,7 @@ class ContinualTrainer:
 
         net, cfg = self.net, self.cfg
         t0 = time.perf_counter()
-        base_lr = self._configure_batch(i)
+        self._configure_batch(i)
         # the batch trained on is B_i u RM, so the double-memory head manages
         # the classes of the joint pool, not just the native session's
         pool_counts = np.bincount(y if self.rm is None
@@ -374,7 +373,7 @@ class ContinualTrainer:
                 if not math.isfinite(loss):
                     raise StateError(f"non-finite loss {loss} at batch {i}, step "
                                      f"{len(trace) + 1}: the run diverged")
-                deltas = net.sgd_step(grads, base_lr)
+                deltas = net.sgd_step(grads)
                 if self.si is not None:
                     self.si.accumulate(grads, deltas)
                 trace.append(loss)
@@ -406,7 +405,11 @@ class ContinualTrainer:
         if self.dslda is not None:
             feats = self.net.tap_activations(x).reshape(len(x), -1)
             return self.dslda.predict_batch(feats)
-        logits = self.net.predict(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = self.net.predict(x)
+        if not np.isfinite(logits).all():
+            raise StateError(f"non-finite logits after batch {self.batch_count}: "
+                             "the run diverged")
         if seen_only and self.seen:
             mask = np.full(logits.shape[1], -np.inf, dtype=np.float32)
             mask[sorted(self.seen)] = 0.0

@@ -118,7 +118,8 @@ def test_criterion_4_latent_native_equivalence():
     net_lat = _three_layer_toy(seed=42)
     net_nat = _three_layer_toy(seed=42)
     for net in (net_lat, net_nat):
-        net.set_frozen_below_tap(True, freeze_moments=True)
+        net.freeze_below_tap(moments=True)
+        net.lr_mult.update(brn_up=0.05, head=0.05)
     latents = net_lat.tap_activations(rep_x)
 
     draws = SeededRng(43)
@@ -129,11 +130,11 @@ def test_criterion_4_latent_native_equivalence():
 
         logits, _ = net_lat.forward_concat(pool[ni], latents[ri])
         _, dl = softmax_xent(logits, y_joint)
-        net_lat.sgd_step(net_lat.backward(dl, n_native=6), 0.05)
+        net_lat.sgd_step(net_lat.backward(dl))
 
         logits2, _ = net_nat.forward(np.concatenate([pool[ni], rep_x[ri]]))
         _, dl2 = softmax_xent(logits2, y_joint)
-        net_nat.sgd_step(net_nat.backward(dl2, n_native=16), 0.05)
+        net_nat.sgd_step(net_nat.backward(dl2))
 
     worst = 0.0
     for lname in ("brn_up", "head"):

@@ -53,7 +53,7 @@ def test_forward_from_reproduces_logits():
 def test_stored_latent_equals_input_fed_when_frozen():
     net = build_tinynic_network(classes=10, seed=5)
     x = SeededRng(6).normal((4, 1, 16, 16))
-    net.set_frozen_below_tap(True, freeze_moments=True)
+    net.freeze_below_tap(moments=True)
     stored = net.tap_activations(x)
     direct = net.predict(x)
     via_latent = net.forward_from(stored, mode="eval")
@@ -117,7 +117,7 @@ def test_backward_replay_rows_stop_at_tap():
     lat = r.normal((3, 6))
     logits, tapped = net.forward_concat(x_nat, lat)
     dl = r.normal(logits.shape)
-    grads = net.backward(dl, n_native=2)
+    grads = net.backward(dl)
 
     joint = np.concatenate([tapped, lat])
     w_head = net.layer("head").params["w"].astype(np.float64)
@@ -138,7 +138,7 @@ def test_backward_full_native_matches_any_tap_position():
         net = toy_net(seed=15, tap=tap)
         logits, _ = net.forward(x)
         _, dl = softmax_xent(logits, labels)
-        grads_by_tap.append(net.backward(dl, n_native=4))
+        grads_by_tap.append(net.backward(dl))
     ref = grads_by_tap[0]
     for other in grads_by_tap[1:]:
         assert set(other) == set(ref)
@@ -150,8 +150,9 @@ def test_backward_full_native_matches_any_tap_position():
 
 def test_frozen_below_tap_skips_lower_gradients():
     net = toy_net(seed=16)
-    net.set_frozen_below_tap(True)
-    assert net.lr_mult["d1"] == 0.0
+    assert not net.frozen_below_tap
+    net.freeze_below_tap()
+    assert net.lr_mult["d1"] == net.lr_mult["relu1"] == 0.0 and net.frozen_below_tap
     x = SeededRng(17).normal((3, 6))
     logits, _ = net.forward(x)
     _, dl = softmax_xent(logits, np.array([0, 1, 2]))
@@ -184,7 +185,7 @@ def test_backward_stopping_at_tap_skips_tap_grad_with_same_param_grads(tap, lowe
     r = SeededRng(8)
     latent = r.normal((7,) + net.tap_shape)
     if how == "concat_frozen":
-        net.set_frozen_below_tap(True)
+        net.freeze_below_tap()
         logits, _ = net.forward_concat(r.normal((3,) + net.input_shape), latent)
     else:
         logits = net.forward_from(latent)
@@ -246,19 +247,21 @@ def test_sgd_step_definition_and_freeze():
     layer = Dense("w1", 1, 1)
     layer.params["w"] = np.array([[1.0]], dtype=np.float32)
     net = Network([layer], input_shape=(1,), tap="w1")
-    net.sgd_step({"w1": {"w": np.array([[1.0]], dtype=np.float32)}}, base_lr=0.1)
+    net.lr_mult["w1"] = 0.1
+    net.sgd_step({"w1": {"w": np.array([[1.0]], dtype=np.float32)}})
     assert np.allclose(net.layer("w1").params["w"], 0.9)
     net.lr_mult["w1"] = 0.0
-    net.sgd_step({"w1": {"w": np.array([[5.0]], dtype=np.float32)}}, base_lr=0.1)
+    net.sgd_step({"w1": {"w": np.array([[5.0]], dtype=np.float32)}})
     assert np.allclose(net.layer("w1").params["w"], 0.9)
 
 
 def test_sgd_step_returns_applied_deltas_bitwise():
     net = build_tinynic_network(classes=5, seed=40, width=4, tap="relu2")
     x = SeededRng(41).normal((6, 1, 16, 16))
+    net.lr_mult.update(dict.fromkeys(net.lr_mult, 0.05), fc=0.15)
     for frozen in (False, True):
-        net.set_frozen_below_tap(frozen)
-        net.lr_mult["fc"] = 3.0
+        if frozen:
+            net.freeze_below_tap()
         logits, _ = net.forward(x)
         _, dl = softmax_xent(logits, np.arange(6) % 5)
         grads = net.backward(dl)
@@ -267,7 +270,7 @@ def test_sgd_step_returns_applied_deltas_bitwise():
                           for l in net.layers[:net.tap_index + 1] if l.params})
         before = {(l.name, k): v.astype(np.float64)
                   for l in net.layers for k, v in l.params.items()}
-        deltas = net.sgd_step(grads, base_lr=0.05)
+        deltas = net.sgd_step(grads)
         moved = {(ln, k) for ln, g in grads.items() for k in g if net.lr_mult[ln] != 0.0}
         assert set(deltas) == moved and moved
         for l in net.layers:
@@ -289,7 +292,7 @@ def test_lr_mult_zero_everywhere_keeps_parameters():
     before = {l.name: {k: v.copy() for k, v in l.params.items()} for l in net.layers}
     logits, _ = net.forward(x)
     _, dl = softmax_xent(logits, np.array([0, 1, 2]))
-    net.sgd_step(net.backward(dl), base_lr=0.5)
+    net.sgd_step(net.backward(dl))
     for l in net.layers:
         for k, v in l.params.items():
             assert np.array_equal(v, before[l.name][k])
@@ -424,7 +427,8 @@ def test_short_latent_equivalence():
     net_a = toy_net(seed=27)
     net_b = toy_net(seed=27)
     for net in (net_a, net_b):
-        net.set_frozen_below_tap(True, freeze_moments=True)
+        net.freeze_below_tap(moments=True)
+        net.lr_mult.update(brn2=0.05, head=0.05)
     latents = net_a.tap_activations(replay_pat)
 
     draw_a, draw_b = SeededRng(28), SeededRng(28)
@@ -438,11 +442,11 @@ def test_short_latent_equivalence():
 
         logits_a, _ = net_a.forward_concat(patterns[na], latents[ra])
         _, dla = softmax_xent(logits_a, y_joint)
-        net_a.sgd_step(net_a.backward(dla, n_native=4), 0.05)
+        net_a.sgd_step(net_a.backward(dla))
 
         logits_b, _ = net_b.forward(np.concatenate([patterns[nb], replay_pat[rb]]))
         _, dlb = softmax_xent(logits_b, y_joint)
-        net_b.sgd_step(net_b.backward(dlb, n_native=9), 0.05)
+        net_b.sgd_step(net_b.backward(dlb))
 
     for lname in ("brn2", "head"):
         for pname, arr in net_a.layer(lname).params.items():

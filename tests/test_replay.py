@@ -119,11 +119,11 @@ def test_latent_payloads_via_payload_fn():
         assert origin == 1
 
 
-def test_footprint_elements():
+def test_payload_footprint():
     rm = ReplayMemory(6, SeededRng(4), kind="latent", tap="t")
     x = SeededRng(5).normal((9, 2, 3))
     rm.update(x, np.arange(9), 1)
-    assert rm.footprint_elements() == len(rm) * 6
+    assert rm.payloads.size == len(rm) * 6
     assert rm.payloads.nbytes == memory_footprint(len(rm), 6, bytes_per_elem=4)
 
 
@@ -270,7 +270,7 @@ def test_compose_with_replacement_fallback_warns():
 
 def test_precompute_latents_matches_forward_tap():
     net = build_tinynic_network(classes=10, seed=16)
-    net.set_frozen_below_tap(True, freeze_moments=True)
+    net.freeze_below_tap(moments=True)
     frames = SeededRng(17).normal((7, 1, 16, 16))
     lats = precompute_latents(net, frames)
     assert len(lats) == 7
@@ -281,7 +281,7 @@ def test_precompute_latents_matches_forward_tap():
 
 def test_precompute_latents_order_and_determinism():
     net = build_tinynic_network(classes=10, seed=18)
-    net.set_frozen_below_tap(True, freeze_moments=True)
+    net.freeze_below_tap(moments=True)
     frame = SeededRng(19).normal((1, 16, 16))
     lats = precompute_latents(net, [frame, frame, frame])
     assert np.array_equal(lats[0], lats[1])
@@ -304,7 +304,7 @@ def test_precompute_worker_thread_feeds_head_training():
     from latentreplay.kernels import softmax_xent
 
     net = build_tinynic_network(classes=10, seed=35, tap="pool")
-    net.set_frozen_below_tap(True, freeze_moments=True)
+    net.freeze_below_tap(moments=True)
     frames = SeededRng(36).normal((40, 1, 16, 16))
     labels = np.arange(40) % 10
     q: queue.Queue = queue.Queue()
@@ -315,6 +315,7 @@ def test_precompute_worker_thread_feeds_head_training():
         q.put(None)
 
     t = threading.Thread(target=worker)
+    net.lr_mult["fc"] = 0.01
     t.start()
     got = []
     while True:
@@ -327,12 +328,12 @@ def test_precompute_worker_thread_feeds_head_training():
             y = labels[len(got) - 10:len(got)]
             logits = net.forward_from(lat)
             _, dl = softmax_xent(logits, y)
-            net.sgd_step(net.backward(dl, n_native=0), 0.01)
+            net.sgd_step(net.backward(dl))
     t.join()
     assert len(got) == 40
     # lower part untouched by the interleaved head updates
     ref = build_tinynic_network(classes=10, seed=35, tap="pool")
-    ref.set_frozen_below_tap(True, freeze_moments=True)
+    ref.freeze_below_tap(moments=True)
     want = ref.tap_activations(frames)
     assert np.array_equal(np.stack(got), want)
 
@@ -398,7 +399,7 @@ def _latent_memory_with_refs(net, n=12, seed=25):
 
 def test_drift_zero_when_fully_frozen():
     net = build_tinynic_network(classes=10, seed=26)
-    net.set_frozen_below_tap(True, freeze_moments=True)
+    net.freeze_below_tap(moments=True)
     rm, _ = _latent_memory_with_refs(net)
     assert aging_drift(rm, net) == 0.0
 

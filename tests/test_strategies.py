@@ -1,9 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from latentreplay.errors import ConfigError, StateError
+from latentreplay.kernels import softmax_xent
 from latentreplay.layers import Dense
 from latentreplay.presets import build_tinynic_network
 from latentreplay.replay import SparsifierConfig
@@ -305,8 +307,9 @@ def test_diverging_run_stops_with_state_error(kw, where):
     net = build_tinynic_network(classes=4, seed=0, width=4)
     cfg = StrategyConfig(epochs=1, mb=16, lr_first=1e6, lr_head=1e6, lr_other=1e6, **kw)
     trainer = ContinualTrainer(net, cfg, seed=0)
-    with np.errstate(all="ignore"), \
+    with warnings.catch_warnings(), \
             pytest.raises(StateError, match=f"non-finite loss .* {where}:"):
+        warnings.simplefilter("error")  # the StateError is the only report
         for batch in scen.batches:
             trainer.train_batch(batch.x, batch.y)
 
@@ -530,9 +533,45 @@ def test_head_lr_ratio_configured():
     batches = tinynic_batches(2, seed=26)
     trainer.train_batch(*batches[0])
     trainer.train_batch(*batches[1])
-    assert net.lr_mult["fc"] == pytest.approx(10.0)  # 0.003 / 0.0003
-    assert net.lr_mult["conv1"] == 0.0  # frozen below tap
-    assert net.lr_mult["conv3_dw"] == 1.0
+    assert net.lr_mult["fc"] == 0.003  # lr_head
+    assert net.lr_mult["conv1"] == 0.0 and net.frozen_below_tap
+    assert net.lr_mult["conv3_dw"] == 0.0003  # lr_other
+
+
+def test_lr_other_zero_trains_only_the_head():
+    net = build_tinynic_network(classes=6, seed=28, width=4)
+    cfg = StrategyConfig(strategy="naive", epochs=1, mb=16, lr_first=0.03, lr_head=0.09,
+                         lr_other=0)
+    trainer = ContinualTrainer(net, cfg, seed=9)
+    (x1, y1), (x2, y2) = tinynic_batches(2, seed=29)
+    trainer.train_batch(x1, y1)
+    before = {(l.name, k): v.copy() for l in net.layers for k, v in l.params.items()}
+    trainer.train_batch(x2, y2)
+    for l in net.layers:
+        for k, v in l.params.items():
+            same = np.array_equal(v.view(np.uint32), before[(l.name, k)].view(np.uint32))
+            assert same == (l.name != "fc"), (l.name, k)
+
+
+def test_head_steps_at_exactly_lr_head():
+    # the ratio form lr_other * (lr_head / lr_other) gives 0.08999999999999998 here
+    net = build_tinynic_network(classes=6, seed=28, width=4)
+    cfg = StrategyConfig(strategy="naive", epochs=1, mb=16, lr_head=0.09, lr_other=1e-5)
+    trainer = ContinualTrainer(net, cfg, seed=9)
+    (x1, y1), (x2, y2) = tinynic_batches(2, seed=29)
+    trainer.train_batch(x1, y1)
+    trainer._configure_batch(2)
+    assert net.lr_mult["fc"] == 0.09 and net.lr_mult["conv1"] == 1e-5
+    logits, _ = net.forward(x2[:16])
+    _, dl = softmax_xent(logits, y2[:16])
+    grads = net.backward(dl)
+    head = net.layer("fc")
+    for arr in head.params.values():  # from 0 the applied step is the delta exactly
+        arr[...] = 0.0
+    deltas = net.sgd_step(grads)
+    for k, g in grads["fc"].items():
+        want = -(0.09 * g.astype(np.float64)).astype(np.float32)
+        assert np.array_equal(deltas[("fc", k)], want.astype(np.float64)), k
 
 
 def test_config_errors():
@@ -551,7 +590,7 @@ def test_config_errors():
 @pytest.mark.parametrize("field,value", [
     ("epochs", "4"), ("mb", "8"), ("rm_capacity", "30"), ("epochs", True), ("mb", 8.0),
     ("iterations", 0), ("iterations", 2.5), ("lr_first", float("nan")), ("lr_first", -0.1),
-    ("lr_head", float("inf")), ("lr_other", 0), ("lr_other", "0.01"), ("si_lambda", -1.0),
+    ("lr_head", float("inf")), ("lr_other", -0.1), ("lr_other", "0.01"), ("si_lambda", -1.0),
     ("si_xi", float("nan")), ("si_max_f", None), ("alpha", "x"), ("alpha", float("inf")),
     ("first_batch_only", "no"),
 ])
@@ -579,6 +618,16 @@ def test_seen_only_scoring_option():
     assert trainer.predict_labels(probe).shape == (20,)
 
 
+def test_predict_labels_stops_on_non_finite_logits_without_warnings():
+    net = build_tinynic_network(classes=6, seed=30, width=4)
+    trainer = ContinualTrainer(net, StrategyConfig(strategy="naive"))
+    net.layer("fc").params["w"][...] = 3e38  # the float32 cast of the logits overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="non-finite logits after batch 0"):
+            trainer.predict_labels(SeededRng(31).normal((3, 1, 16, 16)))
+
+
 def test_config_defaults_match_reference_tables():
     cfg = StrategyConfig()
     assert cfg.lr_first == 0.001        # B_1 learning rate
@@ -602,6 +651,7 @@ def test_first_batch_lr_then_later_lr():
     trainer = ContinualTrainer(net, cfg, seed=9)
     x, y = tinynic_batches(1, seed=29)[0]
     trainer.train_batch(x, y)
-    assert all(m == 1.0 for m in net.lr_mult.values())
+    assert all(m == 0.001 for m in net.lr_mult.values())  # lr_first
     trainer.train_batch(x + 1, y)
-    assert net.lr_mult["fc"] == pytest.approx(10.0)
+    assert net.lr_mult["fc"] == 0.003  # lr_head
+    assert net.lr_mult["conv1"] == 0.0003 and not net.frozen_below_tap  # lr_other
