@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError
-from .layers import Brn, Conv, Dense, Flatten, GlobalAvgPool, Relu
+from .layers import Brn, Conv, Dense, GlobalAvgPool, Relu
 from .network import Network
 
 INPUT_ROW = "Images"
@@ -49,9 +49,6 @@ class LayerCostTable:
         self.rows = list(rows)
         self._index = {r.name: i for i, r in enumerate(rows)}
         self.total_ops = sum(r.ops for r in rows)
-
-    def __len__(self):
-        return len(self.rows)
 
     def names(self):
         return [r.name for r in self.rows]
@@ -89,17 +86,15 @@ class LayerCostTable:
             return LayerCostTable.from_csv_text(fh.read())
 
     @staticmethod
-    def from_network(net: Network, include_input: bool = True) -> "LayerCostTable":
+    def from_network(net: Network) -> "LayerCostTable":
         """Derive a table from layer shapes.
 
         Convention: convs count pure multiply-accumulates, dense layers
         add the bias, BRN counts scale+shift, ReLU one op per element,
         pooling one per input element.
         """
-        rows = []
         cur = net.input_shape
-        if include_input:
-            rows.append(CostRow(INPUT_ROW, int(np.prod(cur)), 0, 0))
+        rows = [CostRow(INPUT_ROW, int(np.prod(cur)), 0, 0)]
         for layer in net.layers:
             out = net.out_shape_of(layer.name)
             neurons = int(np.prod(out))
@@ -117,8 +112,6 @@ class LayerCostTable:
                 ops, weights = neurons, 0
             elif isinstance(layer, GlobalAvgPool):
                 ops, weights = int(np.prod(cur)), 0
-            elif isinstance(layer, Flatten):
-                ops, weights = 0, 0
             else:
                 ops, weights = 0, 0
             rows.append(CostRow(layer.name, neurons, ops, weights))

@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import accounting
-from .errors import (ConfigError, ShapeError, StateError, TensorFormatError, require_finite,
-                     require_int)
+from .errors import (ConfigError, ShapeError, StateError, TensorFormatError, require_bool,
+                     require_finite, require_int)
 from .network import Network
 from .presets import build_tinynic_network
 from .replay import SparsifierConfig
@@ -108,7 +108,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a non-empty list")
         for seed in self.seeds:
             require_int("seeds[]", seed, 0)
-        self.include_cumulative = bool(doc.get("include_cumulative", False))
+        self.include_cumulative = doc.get("include_cumulative", False)
         self.cumulative_epochs = doc.get("cumulative_epochs", 8)
         self.cumulative_mb = doc.get("cumulative_mb", 32)
         self.cumulative_lr = doc.get("cumulative_lr", 0.001)
@@ -117,8 +117,10 @@ class ExperimentConfig:
         require_int("cumulative_mb", self.cumulative_mb, 1)
         require_finite("cumulative_lr", self.cumulative_lr)
         require_int("eval_every", self.eval_every, 1)
-        self.record_timing = bool(doc.get("record_timing", True))
-        self.track_drift = bool(doc.get("track_drift", False))
+        self.record_timing = doc.get("record_timing", True)
+        self.track_drift = doc.get("track_drift", False)
+        for name in ("include_cumulative", "record_timing", "track_drift"):
+            require_bool(name, getattr(self, name))
         self.output_dir = doc.get("output_dir")
 
     def load_scenario(self) -> NicScenario:
@@ -127,15 +129,18 @@ class ExperimentConfig:
         return generate_tinynic(self.scenario_params, self.scenario_seed)
 
     def build_network(self, classes: int, seed: int, tap: str | None = None) -> Network:
+        """The configured network, tapped at ``tap``, else at the network
+        block's tap, else at its spec's or builtin's own."""
         block = self.network_block
+        tap = tap or block.get("tap")
         if "spec_path" in block:
             with open(os.path.join(self.base_dir, block["spec_path"])) as fh:
-                return Network.from_spec(json.load(fh), seed=seed)
+                doc = json.load(fh)
+            return Network.from_spec(dict(doc, tap=tap or doc.get("tap")), seed=seed)
         if block.get("builtin", "tinynic") != "tinynic":
             raise ConfigError(f"unknown builtin network {block.get('builtin')!r}")
         return build_tinynic_network(
-            classes=classes, tap=tap or block.get("tap", "relu3"),
-            seed=seed, width=block.get("width", 8),
+            classes=classes, tap=tap or "relu3", seed=seed, width=block.get("width", 8),
             avg_rate=block.get("avg_rate", 0.99))
 
 

@@ -28,6 +28,12 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def require_bool(name: str, value) -> None:
+    """ConfigError unless ``value`` is a bool (JSON true or false)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
 def require_finite(name: str, value) -> None:
     """ConfigError unless ``value`` is a finite real (not a bool) >= 0."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)

@@ -46,9 +46,6 @@ class Layer:
         does not read dx, and a layer may return None for it."""
         raise NotImplementedError
 
-    def spec(self) -> dict:
-        return {"name": self.name, "kind": self.kind}
-
 
 class Dense(Layer):
     kind = "dense"
@@ -78,9 +75,6 @@ class Dense(Layer):
             return None, {"w": dw, "b": db}
         dx = (dy.astype(np.float64) @ self.params["w"].astype(np.float64).T).astype(np.float32)
         return dx, {"w": dw, "b": db}
-
-    def spec(self):
-        return {"name": self.name, "kind": self.kind, "units": self.units}
 
 
 class Conv(Layer):
@@ -119,11 +113,6 @@ class Conv(Layer):
         dx, dw = kernels.conv2d_backward(*args)
         return dx, {"w": dw}
 
-    def spec(self):
-        return {"name": self.name, "kind": self.kind, "out_channels": self.out_channels,
-                "kernel": self.kernel, "stride": self.stride, "pad": self.pad,
-                "groups": self.groups}
-
 
 class DwConv(Conv):
     kind = "dwconv"
@@ -131,10 +120,6 @@ class DwConv(Conv):
     def __init__(self, name, channels, kernel, stride=1, pad=0, rng=None):
         super().__init__(name, channels, channels, kernel, stride, pad,
                          groups=channels, rng=rng)
-
-    def spec(self):
-        return {"name": self.name, "kind": self.kind, "kernel": self.kernel,
-                "stride": self.stride, "pad": self.pad}
 
 
 class Relu(Layer):
@@ -247,10 +232,6 @@ class Brn(Layer):
             dx = dyf * gamma / self._bview(self.sigma_mov, dy.ndim)
         return dx.astype(np.float32), {"gamma": dgamma.astype(np.float32),
                                        "beta": dbeta.astype(np.float32)}
-
-    def spec(self):
-        return {"name": self.name, "kind": self.kind, "r_max": self.r_max,
-                "d_max": self.d_max, "avg_rate": self.avg_rate}
 
 
 class GlobalAvgPool(Layer):

@@ -21,6 +21,8 @@ Gradients = dict  # layer name -> {param name -> gradient array}
 
 
 class Network:
+    _ctx = None  # the last train-mode pass's record for backward; see _forward
+
     def __init__(self, layers: list[Layer], input_shape: tuple, tap: str,
                  head_name: str | None = None):
         names = [l.name for l in layers]
@@ -38,7 +40,6 @@ class Network:
         # rates despite the name); a rate of 0 freezes the layer
         self.lr_mult = {n: 1.0 for n in names}
         self._shapes = self._propagate_shapes()
-        self._ctx = None
 
     # -- shape bookkeeping -------------------------------------------------
 
@@ -86,7 +87,7 @@ class Network:
             if isinstance(layer, Brn):
                 layer.moments_frozen = moments
 
-    # -- forward variants ----------------------------------------------------
+    # -- forward ---------------------------------------------------------------
 
     def _run(self, layers, x, mode, caches=None):
         for layer in layers:
@@ -95,31 +96,46 @@ class Network:
                 caches.append((layer, cache))
         return x
 
+    def _forward(self, x, latent, mode):
+        """Native rows ``x`` through the whole net, ``latent`` rows joined
+        at the tap after them; either may be None. Returns (logits over the
+        joint batch, copy of the native tap activations).
+
+        A train-mode pass records exactly what backward walks: the upper
+        part's caches always, the lower part's only when there are native
+        rows and the lower part trains.
+        """
+        n_native = 0 if x is None else len(x)
+        n_rows = n_native + (0 if latent is None else len(latent))
+        if n_rows == 0:
+            raise ShapeError("empty batch: no native and no replay rows")
+        if x is not None:
+            self._check_input(x)
+        if latent is not None:
+            self._check_latent(latent)
+        ti = self.tap_index
+        train = mode == TRAIN
+        below = [] if train and n_native and not self.frozen_below_tap else None
+        above = [] if train else None
+        tapped = np.zeros((0,) + self.tap_shape, dtype=np.float32)
+        joint = latent
+        if n_native:
+            out = self._run(self.layers[:ti + 1], x, mode, below)
+            tapped = out.copy()
+            joint = np.concatenate([out, latent], axis=0) if n_rows > n_native else out
+        logits = self._run(self.layers[ti + 1:], joint, mode, above)
+        if train:
+            self._ctx = {"below": below or [], "above": above, "n_native": n_native,
+                         "n_rows": n_rows}
+        return logits, tapped
+
     def forward(self, x: np.ndarray, mode: str = TRAIN):
         """Full forward pass; returns (logits, copy of tap activations)."""
-        self._check_input(x)
-        ti = self.tap_index
-        record = mode == TRAIN
-        below = [] if record else None
-        above = [] if record else None
-        out = self._run(self.layers[:ti + 1], x, mode, below)
-        tapped = out.copy()
-        logits = self._run(self.layers[ti + 1:], out, mode, above)
-        if record:
-            self._ctx = {"below": below, "above": above, "n_native": len(x),
-                         "n_rows": len(x)}
-        return logits, tapped
+        return self._forward(x, None, mode)
 
     def forward_from(self, latent: np.ndarray, mode: str = TRAIN) -> np.ndarray:
         """Run only the layers strictly above the tap."""
-        self._check_latent(latent)
-        record = mode == TRAIN
-        above = [] if record else None
-        logits = self._run(self.layers[self.tap_index + 1:], latent, mode, above)
-        if record:
-            self._ctx = {"below": [], "above": above, "n_native": 0,
-                         "n_rows": len(latent)}
-        return logits
+        return self._forward(None, latent, mode)[0]
 
     def forward_concat(self, x_native: np.ndarray, latent_replay: np.ndarray,
                        mode: str = TRAIN):
@@ -128,40 +144,19 @@ class Network:
         Returns (logits over the joint batch, copy of native tap
         activations). Native rows come first in the joint batch.
         """
-        n1, n2 = len(x_native), len(latent_replay)
-        if n1 == 0 and n2 == 0:
-            raise ShapeError("empty batch: no native and no replay rows")
-        if n2:
-            self._check_latent(latent_replay)
-        if n1 == 0:
-            logits = self.forward_from(latent_replay, mode)
-            tapped = np.zeros((0,) + self.tap_shape, dtype=np.float32)
-            return logits, tapped
-        self._check_input(x_native)
-        ti = self.tap_index
-        record = mode == TRAIN
-        below = [] if record else None
-        above = [] if record else None
-        out = self._run(self.layers[:ti + 1], x_native, mode, below)
-        tapped = out.copy()
-        joint = np.concatenate([out, latent_replay], axis=0) if n2 else out
-        logits = self._run(self.layers[ti + 1:], joint, mode, above)
-        if record:
-            self._ctx = {"below": below, "above": above, "n_native": n1,
-                         "n_rows": n1 + n2}
-        return logits, tapped
+        return self._forward(x_native, latent_replay, mode)
 
-    def tap_activations(self, x: np.ndarray, chunk: int = 256) -> np.ndarray:
+    def tap_activations(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode activations at the tap (no caches, no moment updates)."""
-        return self._chunked(self.layers[:self.tap_index + 1], x, chunk)
+        return self._chunked(self.layers[:self.tap_index + 1], x)
 
-    def predict(self, x: np.ndarray, chunk: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode logits, computed in chunks."""
-        return self._chunked(self.layers, x, chunk)
+        return self._chunked(self.layers, x)
 
-    def _chunked(self, layers, x, chunk):
-        return np.concatenate([self._run(layers, x[lo:lo + chunk], EVAL)
-                               for lo in range(0, len(x), chunk)], axis=0)
+    def _chunked(self, layers, x):
+        return np.concatenate([self._run(layers, x[lo:lo + 256], EVAL)
+                               for lo in range(0, len(x), 256)], axis=0)
 
     def _check_input(self, x):
         if x.shape[1:] != self.input_shape:
@@ -175,36 +170,35 @@ class Network:
 
     def backward(self, dlogits: np.ndarray,
                  tap_grad_extra: np.ndarray | None = None) -> Gradients:
-        """Backprop from dlogits through the last train-mode forward.
+        """Backprop from dlogits through the last train-mode forward,
+        walking the caches that forward recorded.
 
         Replay rows stop at the tap boundary: only the native rows of the
-        tap gradient continue into the lower part, and the lower part is
-        skipped entirely when frozen. ``tap_grad_extra`` is added to the
-        native tap gradient (auxiliary losses on the tap activations, e.g.
-        the L1 sparsifier).
+        tap gradient continue into the lower part, and backward stops at
+        the tap when forward recorded no lower part (no native rows, or
+        the lower part frozen). ``tap_grad_extra`` is added to the native
+        tap gradient (auxiliary losses on the tap activations, e.g. the L1
+        sparsifier).
 
         A layer computes its input gradient only when a layer below it
         reads it: the network's first layer never does, and the lowest
-        layer above the tap does not when backward stops at the tap (lower
-        part frozen, no native rows, or no lower part).
+        layer above the tap does not when backward stops at the tap.
         """
         if self._ctx is None:
             raise StateError("backward called without a preceding train-mode forward")
         ctx = self._ctx
-        n_native = ctx["n_native"]
         if len(dlogits) != ctx["n_rows"]:
             raise ShapeError(f"dlogits has {len(dlogits)} rows, forward had {ctx['n_rows']}")
         grads: Gradients = {}
         above, below = ctx["above"], ctx["below"]
-        stop_at_tap = self.frozen_below_tap or n_native == 0 or not below
         d = dlogits
         for layer, cache in reversed(above):
-            d, g = layer.backward(d, cache,
-                                  need_dx=not stop_at_tap or layer is not above[0][0])
+            d, g = layer.backward(d, cache, need_dx=bool(below) or layer is not above[0][0])
             if g:
                 grads[layer.name] = g
-        if stop_at_tap:
+        if not below:
             return grads
+        n_native = ctx["n_native"]
         d = d[:n_native]
         if tap_grad_extra is not None:
             d = d + tap_grad_extra[:n_native]
@@ -231,14 +225,6 @@ class Network:
         return deltas
 
     # -- serialization -------------------------------------------------------
-
-    def to_spec(self) -> dict:
-        return {
-            "input_shape": list(self.input_shape),
-            "tap": self.tap,
-            "head": self.head_name,
-            "layers": [l.spec() for l in self.layers],
-        }
 
     @staticmethod
     def from_spec(doc: dict, seed: int = 0) -> "Network":

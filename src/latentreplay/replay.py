@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError, require_finite
+from .errors import ConfigError, ShapeError, StateError, require_bool, require_finite
 from .rng import SeededRng
 from .tensorio import load_tensor, save_tensor
 
@@ -31,8 +31,7 @@ class SparsifierConfig:
 
     def __post_init__(self):
         require_finite("alpha", self.alpha)
-        if not isinstance(self.first_batch_only, bool):
-            raise ConfigError(f"first_batch_only must be a bool, got {self.first_batch_only!r}")
+        require_bool("first_batch_only", self.first_batch_only)
 
     def active(self, batch_index: int) -> bool:
         if self.alpha == 0.0:
@@ -184,14 +183,12 @@ def compose_minibatch(rm: ReplayMemory, batch_size: int, mb: int,
     return n_native, n_replay, idx
 
 
-def precompute_latents(net, frames, tap: str | None = None) -> list[np.ndarray]:
+def precompute_latents(net, frames) -> list[np.ndarray]:
     """Tap activations for a stream of frames, in arrival order.
 
     The lower sub-network must be frozen: cached activations would
     otherwise age while the stream is still being acquired.
     """
-    if tap is not None and tap != net.tap:
-        raise ConfigError(f"requested tap {tap!r}, network taps at {net.tap!r}")
     if not net.frozen_below_tap:
         raise StateError("lower layers must be frozen before pre-caching latents")
     out = []

@@ -145,7 +145,7 @@ class MetricsRow:
 
 def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenario,
                  seed: int = 0, eval_every: int = 1, track_drift: bool = False,
-                 record_timing: bool = True, seen_only: bool = False) -> list[MetricsRow]:
+                 record_timing: bool = True) -> list[MetricsRow]:
     """Train along the stream; evaluate on the fixed test set after each
     batch (or every ``eval_every`` batches). One row per evaluation."""
     if net.class_count < scenario.classes:
@@ -159,7 +159,7 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
         report = trainer.train_batch(batch.x, batch.y)
         if k % eval_every and k != n:
             continue
-        acc = trainer.accuracy(scenario.test_x, scenario.test_y, seen_only=seen_only)
+        acc = trainer.accuracy(scenario.test_x, scenario.test_y)
         drift = None
         if track_drift and trainer.rm is not None and trainer.rm.kind == "latent" \
                 and trainer.rm.patterns is not None and len(trainer.rm):
@@ -213,25 +213,36 @@ def save_scenario(scenario: NicScenario, directory) -> str:
     return path
 
 
+def _labels(values, classes: int, fname: str) -> np.ndarray:
+    """The manifest labels of ``fname``; each must be an integer in [0, classes)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < classes:
+            raise TensorFormatError(f"{fname}: label {v!r} is not an integer "
+                                    f"in [0, {classes})")
+    return np.asarray(values, dtype=np.int64)
+
+
 def load_dataset(manifest_path) -> NicScenario:
     """Load a materialized scenario; deterministic order per manifest."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     base = os.path.dirname(manifest_path)
     shape = tuple(manifest["pattern_shape"])
+    classes = manifest["classes"]
+    require_int("classes", classes, 2)
     batches = []
     for entry in manifest["batches"]:
         x = load_tensor(os.path.join(base, entry["file"]))
-        y = np.asarray(entry["labels"], dtype=np.int64)
+        y = _labels(entry["labels"], classes, entry["file"])
         if x.shape[0] != len(y) or x.shape[1:] != shape:
             raise TensorFormatError(
                 f"{entry['file']}: payload shape {x.shape} disagrees with manifest")
         batches.append(SessionBatch(x=x, y=y))
     test_x = load_tensor(os.path.join(base, manifest["test"]["file"]))
-    test_y = np.asarray(manifest["test"]["labels"], dtype=np.int64)
+    test_y = _labels(manifest["test"]["labels"], classes, manifest["test"]["file"])
     if test_x.shape[0] != len(test_y) or test_x.shape[1:] != shape:
         raise TensorFormatError("test payload shape disagrees with manifest")
-    params = ScenarioParams(classes=manifest["classes"], pattern_shape=shape)
+    params = ScenarioParams(classes=classes, pattern_shape=shape)
     return NicScenario(params, manifest.get("seed", 0), batches, test_x, test_y)
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError, require_finite, require_int
+from .errors import (ConfigError, ShapeError, StateError, require_bool, require_finite,
+                     require_int)
 from .kernels import softmax_xent
 from .network import Network
 from .replay import (ReplayMemory, SparsifierConfig, compose_minibatch,
@@ -230,6 +231,8 @@ class StrategyConfig:
         for name in ("lr_first", "lr_head", "lr_other", "si_lambda", "si_xi",
                      "si_w1", "si_wi", "si_max_f"):
             require_finite(name, getattr(self, name))
+        for name in ("freeze_below_tap_moments", "store_patterns"):
+            require_bool(name, getattr(self, name))
 
 
 @dataclass
@@ -239,8 +242,6 @@ class BatchReport:
     mean_loss: float
     loss_trace: list
     train_ms: float
-    rm_added: int = 0
-    rm_replaced: int = 0
 
 
 class ContinualTrainer:
@@ -253,7 +254,6 @@ class ContinualTrainer:
         self.cfg = cfg
         self.rng = SeededRng(seed).spawn(0x5A)
         self.batch_count = 0
-        self.seen: set[int] = set()
         self.rm: ReplayMemory | None = None
         if cfg.replay_kind is not None:
             self.rm = ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E),
@@ -311,7 +311,6 @@ class ContinualTrainer:
         y = np.asarray(y, dtype=np.int64)
         if len(x) == 0:
             raise ConfigError("empty training batch")
-        self.seen.update(np.unique(y).tolist())
         self.batch_count = i
         if self.dslda is not None:
             return self._train_batch_dslda(x, y, i)
@@ -384,24 +383,21 @@ class ContinualTrainer:
             self.cwr.consolidate(net.layer(net.head_name), head_classes, cur_counts)
             self.cwr.install(net.layer(net.head_name))
 
-        added = replaced = 0
         if self.rm is not None and self.rm.capacity > 0:
             payload_fn = None
             if self.rm.kind == "latent":
                 payload_fn = lambda idxs: net.tap_activations(x[idxs])
-            added, replaced = self.rm.update(x, y, i, payload_fn=payload_fn)
+            self.rm.update(x, y, i, payload_fn=payload_fn)
 
         ms = (time.perf_counter() - t0) * 1000.0
         mean_loss = float(np.mean(trace)) if trace else float("nan")
         return BatchReport(i, steps=len(trace), mean_loss=mean_loss,
-                           loss_trace=trace, train_ms=ms,
-                           rm_added=added, rm_replaced=replaced)
+                           loss_trace=trace, train_ms=ms)
 
     # -- prediction --------------------------------------------------------
 
-    def predict_labels(self, x: np.ndarray, seen_only: bool = False) -> np.ndarray:
-        """Top-1 labels; ``seen_only`` drops classes never trained on from
-        the scoring (default scores all classes)."""
+    def predict_labels(self, x: np.ndarray) -> np.ndarray:
+        """Top-1 labels, scored over all classes."""
         if self.dslda is not None:
             feats = self.net.tap_activations(x).reshape(len(x), -1)
             return self.dslda.predict_batch(feats)
@@ -410,11 +406,7 @@ class ContinualTrainer:
         if not np.isfinite(logits).all():
             raise StateError(f"non-finite logits after batch {self.batch_count}: "
                              "the run diverged")
-        if seen_only and self.seen:
-            mask = np.full(logits.shape[1], -np.inf, dtype=np.float32)
-            mask[sorted(self.seen)] = 0.0
-            logits = logits + mask
         return logits.argmax(axis=1)
 
-    def accuracy(self, x: np.ndarray, y: np.ndarray, seen_only: bool = False) -> float:
-        return float((self.predict_labels(x, seen_only) == np.asarray(y)).mean())
+    def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
+        return float((self.predict_labels(x) == np.asarray(y)).mean())

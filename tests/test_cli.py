@@ -7,6 +7,7 @@ import pytest
 
 from latentreplay import cli
 from latentreplay.cli import main
+from latentreplay.presets import tinynic_network_spec
 from latentreplay.scenario import generate_tinynic, load_dataset, ScenarioParams
 
 SMALL_GEN = {
@@ -207,7 +208,11 @@ def test_run_invalid_json(tmp_path):
                                  {"config": {"network": {"builtin": "tinynic",
                                                          "avg_rate": "x"}}},
                                  {"config": {"network": {"builtin": "tinynic",
-                                                         "avg_rate": 1.5}}}])
+                                                         "avg_rate": 1.5}}},
+                                 {"config": {"record_timing": "false"}},
+                                 {"config": {"track_drift": 0}},
+                                 {"config": {"include_cumulative": "true"}},
+                                 {"freeze_below_tap_moments": "false"}])
 def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     """A bad strategy-block value, or a bad top-level one under "config"."""
     bad = dict(bad)
@@ -220,6 +225,43 @@ def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("split, label", [("batches", 4), ("test", -1)])
+def test_run_manifest_label_out_of_range_exits_1(tmp_path, capsys, split, label):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(SMALL_GEN))
+    assert main(["scenario", "--config", str(gen), "--out", str(tmp_path / "ds")]) == 0
+    manifest = tmp_path / "ds" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    entry = doc["batches"][1] if split == "batches" else doc["test"]
+    entry["labels"][3] = label
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    cfg = run_config(tmp_path, scenario={"manifest": str(manifest)})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {entry['file']}: label {label} is not an integer in [0, 4)"]
+
+
+def test_run_spec_path_matches_builtin_and_honours_block_tap(tmp_path):
+    (tmp_path / "net.json").write_text(json.dumps(tinynic_network_spec(classes=4, width=4)))
+    blocks = [{"name": "relu3", "strategy": "ar1*free", "replay_kind": "latent",
+               "rm_capacity": 20, "epochs": 1, "mb": 16},
+              {"name": "pool", "strategy": "ar1*free", "replay_kind": "latent",
+               "tap": "pool", "rm_capacity": 20, "epochs": 1, "mb": 16}]
+    outs = {}
+    for kind, network in (("builtin", {"builtin": "tinynic", "width": 4}),
+                          ("spec", {"spec_path": "net.json"})):
+        cfg = run_config(tmp_path, network=network, strategies=blocks)
+        outs[kind] = tmp_path / kind
+        assert main(["run", "--config", str(cfg), "--out", str(outs[kind])]) == 0
+    for name in ("metrics_relu3_s0.csv", "metrics_pool_s0.csv", "summary.json"):
+        assert (outs["spec"] / name).read_bytes() == (outs["builtin"] / name).read_bytes()
+    cfg = cli.ExperimentConfig(json.loads(cfg.read_text()), base_dir=str(tmp_path))
+    scenario = cfg.load_scenario()
+    taps = [cli._prepare(cfg, scenario, strat, 0)[0].tap for _, strat in cfg.strategies]
+    assert taps == ["relu3", "pool"]
 
 
 def test_run_diverging_stops_with_one_runtime_error_line(tmp_path):

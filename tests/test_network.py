@@ -103,6 +103,32 @@ def test_forward_concat_empty_batch_errors():
                            np.zeros((0, 8), dtype=np.float32))
 
 
+@pytest.mark.parametrize("entry, width", [("forward", 6), ("forward_from", 8)])
+def test_forward_and_forward_from_empty_batch_errors(entry, width):
+    with pytest.raises(ShapeError, match="empty batch"):
+        getattr(toy_net(), entry)(np.zeros((0, width), dtype=np.float32))
+
+
+def test_frozen_lower_part_records_only_what_backward_walks():
+    trainable = build_tinynic_network(classes=6, seed=5, width=4, tap="relu3")
+    frozen = build_tinynic_network(classes=6, seed=5, width=4, tap="relu3")
+    frozen.freeze_below_tap()  # BRN moments below the tap stay live
+    r = SeededRng(10)
+    x, lat = r.normal((3,) + frozen.input_shape), r.normal((5,) + frozen.tap_shape)
+    mu_before = frozen.layer("brn1").mu_mov.copy()
+    grads = {}
+    for name, net in (("trainable", trainable), ("frozen", frozen)):
+        logits, _ = net.forward_concat(x, lat)
+        _, dl = softmax_xent(logits, np.arange(8) % 6)
+        grads[name] = net.backward(dl)
+    assert frozen._ctx["below"] == [] and trainable._ctx["below"]
+    assert not np.array_equal(frozen.layer("brn1").mu_mov, mu_before)
+    assert np.array_equal(frozen.layer("brn1").mu_mov, trainable.layer("brn1").mu_mov)
+    above = {l.name for l in frozen.layers[frozen.tap_index + 1:]}
+    assert_same_grads(grads["frozen"],
+                      {k: g for k, g in grads["trainable"].items() if k in above})
+
+
 def test_backward_without_forward_errors():
     net = toy_net()
     with pytest.raises(StateError):
@@ -380,15 +406,6 @@ def test_brn_load_state_checks_every_tensor_shape(key):
     tensors[key] = np.zeros(1, dtype=np.float32)
     with pytest.raises(ShapeError, match=key):
         layer.load_state(tensors)
-
-
-def test_spec_round_trip(tmp_path):
-    net = build_tinynic_network(classes=5, seed=24, width=4)
-    doc = net.to_spec()
-    rebuilt = Network.from_spec(doc, seed=24)
-    assert rebuilt.to_spec() == doc
-    x = SeededRng(25).normal((2, 1, 16, 16))
-    assert np.array_equal(rebuilt.predict(x), net.predict(x))
 
 
 def test_duplicate_layer_names_rejected():

@@ -592,7 +592,7 @@ def test_config_errors():
     ("iterations", 0), ("iterations", 2.5), ("lr_first", float("nan")), ("lr_first", -0.1),
     ("lr_head", float("inf")), ("lr_other", -0.1), ("lr_other", "0.01"), ("si_lambda", -1.0),
     ("si_xi", float("nan")), ("si_max_f", None), ("alpha", "x"), ("alpha", float("inf")),
-    ("first_batch_only", "no"),
+    ("first_batch_only", "no"), ("freeze_below_tap_moments", "false"), ("store_patterns", 1),
 ])
 def test_config_rejects_bad_types_and_ranges(field, value):
     net = build_tinynic_network(classes=6, seed=27)
@@ -601,21 +601,6 @@ def test_config_rejects_bad_types_and_ranges(field, value):
             SparsifierConfig(**{field: value})
         else:
             ContinualTrainer(net, StrategyConfig(**{field: value}))
-
-
-def test_seen_only_scoring_option():
-    net = build_tinynic_network(classes=10, seed=30)
-    trainer = ContinualTrainer(net, StrategyConfig(strategy="naive", epochs=1,
-                                                   mb=16, lr_first=0.03), seed=10)
-    r = SeededRng(31)
-    x = r.normal((30, 1, 16, 16))
-    y = r.randint(0, 3, 30)  # only classes 0..2 ever seen
-    trainer.train_batch(x, y)
-    probe = r.normal((20, 1, 16, 16))
-    restricted = trainer.predict_labels(probe, seen_only=True)
-    assert set(restricted.tolist()) <= {0, 1, 2}
-    # default scores all classes
-    assert trainer.predict_labels(probe).shape == (20,)
 
 
 def test_predict_labels_stops_on_non_finite_logits_without_warnings():
