@@ -134,9 +134,13 @@ class ExperimentConfig:
         block = self.network_block
         tap = tap or block.get("tap")
         if "spec_path" in block:
-            with open(os.path.join(self.base_dir, block["spec_path"])) as fh:
+            path = os.path.join(self.base_dir, block["spec_path"])
+            with open(path) as fh:
                 doc = json.load(fh)
-            return Network.from_spec(dict(doc, tap=tap or doc.get("tap")), seed=seed)
+            try:
+                return Network.from_spec(dict(doc, tap=tap or doc.get("tap")), seed=seed)
+            except KeyError as exc:
+                raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from None
         if block.get("builtin", "tinynic") != "tinynic":
             raise ConfigError(f"unknown builtin network {block.get('builtin')!r}")
         return build_tinynic_network(

@@ -8,7 +8,8 @@ so outputs are bit-identical across repeated calls:
 - conv2d is one batched GEMM of a float64 im2col matrix
   ``[groups, n*ho*wo, c_g*kh*kw]`` with the kernel (Chellapilla et al.
   2006, "High Performance Convolutional Neural Networks for Document
-  Processing").
+  Processing"). The matrix is one reshape copy of a strided window view
+  of the padded input.
 - conv2d_backward takes one of two paths, picked by the kernel's shape.
   Dense and grouped convs get dkern as ``dy^T @ cols`` and dx as
   ``dy @ kern``, scatter-added over the kh*kw taps in (i, j) order.
@@ -24,7 +25,6 @@ in another layout give different moving moments.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -49,7 +49,7 @@ def conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
 
 def _padded64(x: np.ndarray, pad: int) -> np.ndarray:
     if not pad:
-        return x.astype(np.float64)
+        return x.astype(np.float64, order="C")
     n, c, h, w = x.shape
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     xp[:, :, pad:pad + h, pad:pad + w] = x
@@ -57,13 +57,15 @@ def _padded64(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.ndarray:
-    """[n, c, hp, wp] -> [groups, n*ho*wo, c_g*kh*kw], rows in (n, ho, wo)
-    order and columns in (c, i, j) order."""
-    n, c = xp.shape[:2]
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2:4]
-    win = win.reshape(n, groups, c // groups, ho, wo, kh, kw)
-    return win.transpose(1, 0, 3, 4, 2, 5, 6).reshape(groups, n * ho * wo, -1)
+    """C-contiguous [n, c, hp, wp] -> [groups, n*ho*wo, c_g*kh*kw], rows in
+    (n, ho, wo) order and columns in (c, i, j) order."""
+    n, c, hp, wp = xp.shape
+    c_g = c // groups
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    s0, s1, s2, s3 = xp.strides
+    win = np.ndarray((groups, n, ho, wo, c_g, kh, kw), xp.dtype, buffer=xp,
+                     strides=(s1 * c_g, s0, s2 * stride, s3 * stride, s1, s2, s3))
+    return win.reshape(groups, n * ho * wo, -1)
 
 
 def conv2d(x: np.ndarray, kern: np.ndarray, stride: int = 1, pad: int = 0,

@@ -129,11 +129,10 @@ class Relu(Layer):
         return in_shape
 
     def forward(self, x, mode):
-        y = np.maximum(x, 0.0).astype(np.float32)
-        return y, x > 0
+        return np.maximum(x, np.float32(0)).astype(np.float32, copy=False), x > 0
 
     def backward(self, dy, cache, need_dx=True):
-        return (dy * cache).astype(np.float32), {}
+        return (dy * cache).astype(np.float32, copy=False), {}
 
 
 class Brn(Layer):
@@ -145,7 +144,19 @@ class Brn(Layer):
     it applies the eval formula in both modes and never updates moments,
     which keeps stored latent activations exactly reproducible.
 
-    r and d are treated as constants in backward.
+    r and d are treated as constants in backward. A moving-moment cache
+    keeps the input, and backward recomputes xhat from it with the
+    moments it reads for dx, the ones current at backward time.
+
+    Forward and backward work in place on one float64 copy, but apply the
+    ufuncs of the plain formulas in the same order to the same values,
+    so the bits are theirs: batch moments are ``add.reduce / count``, as
+    ``mean`` and ``var`` compute them; the centred input ``x - mu_b``
+    serves both the variance and xhat, as in ``var``; and
+    y = ``gamma * (xhat * r + d) + beta`` is built as
+    ``xhat*r, +d, *gamma, +beta``. r and d are clipped with
+    ``minimum(maximum(.))``, which equals ``clip`` except for the sign of
+    a zero d when ``d_max`` is 0.
     """
 
     kind = "brn"
@@ -190,48 +201,69 @@ class Brn(Layer):
             return per_channel.reshape(1, -1, 1, 1)
         return per_channel.reshape(1, -1)
 
+    def _moving_xhat(self, x):
+        """(x - mu_mov) / sigma_mov as a new float64 array."""
+        xhat = x.astype(np.float64)
+        xhat -= self._bview(self.mu_mov, x.ndim)
+        xhat /= self._bview(self.sigma_mov, x.ndim)
+        return xhat
+
     def forward(self, x, mode):
         axes = (0, 2, 3) if x.ndim == 4 else (0,)
         gamma = self._bview(self.params["gamma"].astype(np.float64), x.ndim)
         beta = self._bview(self.params["beta"].astype(np.float64), x.ndim)
         if mode == TRAIN and not self.moments_frozen:
-            xf = x.astype(np.float64)
-            mu_b = xf.mean(axis=axes)
-            sigma_b = np.sqrt(xf.var(axis=axes) + self.eps)
-            r = np.clip(sigma_b / self.sigma_mov, 1.0 / self.r_max, self.r_max)
-            d = np.clip((mu_b - self.mu_mov) / self.sigma_mov, -self.d_max, self.d_max)
-            xhat = (xf - self._bview(mu_b, x.ndim)) / self._bview(sigma_b, x.ndim)
-            y = gamma * (xhat * self._bview(r, x.ndim) + self._bview(d, x.ndim)) + beta
+            count = x.size // x.shape[1]
+            xhat = x.astype(np.float64)
+            mu_b = np.add.reduce(xhat, axis=axes) / count
+            xhat -= self._bview(mu_b, x.ndim)
+            sigma_b = np.sqrt(np.add.reduce(xhat * xhat, axis=axes) / count + self.eps)
+            xhat /= self._bview(sigma_b, x.ndim)
+            r = np.minimum(np.maximum(sigma_b / self.sigma_mov, 1.0 / self.r_max), self.r_max)
+            d = np.minimum(np.maximum((mu_b - self.mu_mov) / self.sigma_mov, -self.d_max),
+                           self.d_max)
+            y = xhat * self._bview(r, x.ndim)
+            y += self._bview(d, x.ndim)
             self.mu_mov = self.avg_rate * self.mu_mov + (1 - self.avg_rate) * mu_b
             self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
             cache = ("batch", xhat, sigma_b, r, d)
-            return y.astype(np.float32), cache
-        xf = x.astype(np.float64)
-        xhat = (xf - self._bview(self.mu_mov, x.ndim)) / self._bview(self.sigma_mov, x.ndim)
-        y = gamma * xhat + beta
-        return y.astype(np.float32), ("moving", xhat)
+        else:
+            y = self._moving_xhat(x)
+            cache = ("moving", x)
+        y *= gamma
+        y += beta
+        return y.astype(np.float32), cache
 
     def backward(self, dy, cache, need_dx=True):
         gamma = self._bview(self.params["gamma"].astype(np.float64), dy.ndim)
         axes = (0, 2, 3) if dy.ndim == 4 else (0,)
         dyf = dy.astype(np.float64)
+        dbeta = np.add.reduce(dyf, axis=axes)
         if cache[0] == "batch":
             _, xhat, sigma_b, r, d = cache
-            rb, db = self._bview(r, dy.ndim), self._bview(d, dy.ndim)
-            dgamma = (dyf * (xhat * rb + db)).sum(axis=axes)
-            dbeta = dyf.sum(axis=axes)
-            dxhat = dyf * gamma * rb
-            m_d = dxhat.mean(axis=axes)
-            m_dx = (dxhat * xhat).mean(axis=axes)
-            dx = (dxhat - self._bview(m_d, dy.ndim)
-                  - xhat * self._bview(m_dx, dy.ndim)) / self._bview(sigma_b, dy.ndim)
+            count = dy.size // dy.shape[1]
+            rb = self._bview(r, dy.ndim)
+            t = xhat * rb
+            t += self._bview(d, dy.ndim)
+            t *= dyf
+            dgamma = np.add.reduce(t, axis=axes)
+            dyf *= gamma
+            dyf *= rb  # dxhat
+            m_d = np.add.reduce(dyf, axis=axes) / count
+            np.multiply(dyf, xhat, out=t)
+            m_dx = np.add.reduce(t, axis=axes) / count
+            dyf -= self._bview(m_d, dy.ndim)
+            np.multiply(xhat, self._bview(m_dx, dy.ndim), out=t)
+            dyf -= t
+            dyf /= self._bview(sigma_b, dy.ndim)
         else:
-            _, xhat = cache
-            dgamma = (dyf * xhat).sum(axis=axes)
-            dbeta = dyf.sum(axis=axes)
-            dx = dyf * gamma / self._bview(self.sigma_mov, dy.ndim)
-        return dx.astype(np.float32), {"gamma": dgamma.astype(np.float32),
-                                       "beta": dbeta.astype(np.float32)}
+            t = self._moving_xhat(cache[1])
+            t *= dyf
+            dgamma = np.add.reduce(t, axis=axes)
+            dyf *= gamma
+            dyf /= self._bview(self.sigma_mov, dy.ndim)
+        return dyf.astype(np.float32), {"gamma": dgamma.astype(np.float32),
+                                        "beta": dbeta.astype(np.float32)}
 
 
 class GlobalAvgPool(Layer):

@@ -40,9 +40,9 @@ class ScenarioParams:
 
     def validate(self) -> None:
         for name in ("classes", "instances_per_class", "frames_per_session",
-                     "first_batch_classes", "first_batch_instances",
-                     "test_frames_per_instance"):
+                     "first_batch_classes", "first_batch_instances"):
             require_int(name, getattr(self, name), 0)
+        require_int("test_frames_per_instance", self.test_frames_per_instance, 1)
         for name in ("instance_jitter", "step_sigma", "walk_bound"):
             require_finite(name, getattr(self, name))
         if self.classes < 2:
@@ -227,19 +227,25 @@ def load_dataset(manifest_path) -> NicScenario:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     base = os.path.dirname(manifest_path)
-    shape = tuple(manifest["pattern_shape"])
-    classes = manifest["classes"]
-    require_int("classes", classes, 2)
-    batches = []
-    for entry in manifest["batches"]:
-        x = load_tensor(os.path.join(base, entry["file"]))
-        y = _labels(entry["labels"], classes, entry["file"])
-        if x.shape[0] != len(y) or x.shape[1:] != shape:
-            raise TensorFormatError(
-                f"{entry['file']}: payload shape {x.shape} disagrees with manifest")
-        batches.append(SessionBatch(x=x, y=y))
-    test_x = load_tensor(os.path.join(base, manifest["test"]["file"]))
-    test_y = _labels(manifest["test"]["labels"], classes, manifest["test"]["file"])
+    try:
+        shape = tuple(manifest["pattern_shape"])
+        classes = manifest["classes"]
+        require_int("classes", classes, 2)
+        batches = []
+        for entry in manifest["batches"]:
+            x = load_tensor(os.path.join(base, entry["file"]))
+            y = _labels(entry["labels"], classes, entry["file"])
+            if x.shape[0] != len(y) or x.shape[1:] != shape:
+                raise TensorFormatError(
+                    f"{entry['file']}: payload shape {x.shape} disagrees with manifest")
+            batches.append(SessionBatch(x=x, y=y))
+        test = manifest["test"]
+        test_x = load_tensor(os.path.join(base, test["file"]))
+        test_y = _labels(test["labels"], classes, test["file"])
+    except KeyError as exc:
+        raise TensorFormatError(f"{manifest_path}: missing key {exc.args[0]!r}") from None
+    if not len(test_y):
+        raise TensorFormatError(f"{manifest_path}: the test split has no labels")
     if test_x.shape[0] != len(test_y) or test_x.shape[1:] != shape:
         raise TensorFormatError("test payload shape disagrees with manifest")
     params = ScenarioParams(classes=classes, pattern_shape=shape)

@@ -9,6 +9,7 @@ from latentreplay import cli
 from latentreplay.cli import main
 from latentreplay.presets import tinynic_network_spec
 from latentreplay.scenario import generate_tinynic, load_dataset, ScenarioParams
+from latentreplay.tensorio import save_tensor
 
 SMALL_GEN = {
     "classes": 4, "instances_per_class": 2, "frames_per_session": 10,
@@ -227,21 +228,63 @@ def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("split, label", [("batches", 4), ("test", -1)])
-def test_run_manifest_label_out_of_range_exits_1(tmp_path, capsys, split, label):
+def _saved_manifest(tmp_path, capsys):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps(SMALL_GEN))
     assert main(["scenario", "--config", str(gen), "--out", str(tmp_path / "ds")]) == 0
+    capsys.readouterr()
     manifest = tmp_path / "ds" / "manifest.json"
-    doc = json.loads(manifest.read_text())
+    return manifest, json.loads(manifest.read_text())
+
+
+@pytest.mark.parametrize("split, label", [("batches", 4), ("test", -1)])
+def test_run_manifest_label_out_of_range_exits_1(tmp_path, capsys, split, label):
+    manifest, doc = _saved_manifest(tmp_path, capsys)
     entry = doc["batches"][1] if split == "batches" else doc["test"]
     entry["labels"][3] = label
     manifest.write_text(json.dumps(doc))
-    capsys.readouterr()
     cfg = run_config(tmp_path, scenario={"manifest": str(manifest)})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {entry['file']}: label {label} is not an integer in [0, 4)"]
+
+
+@pytest.mark.parametrize("source", ["generator", "manifest"])
+def test_run_empty_test_split_exits_1(tmp_path, capsys, source):
+    if source == "generator":
+        scenario = {"generator": dict(SMALL_GEN, test_frames_per_instance=0)}
+        message = "error: test_frames_per_instance must be an integer >= 1, got 0"
+    else:
+        manifest, doc = _saved_manifest(tmp_path, capsys)
+        save_tensor(str(tmp_path / "ds" / doc["test"]["file"]),
+                    np.zeros((0, 1, 16, 16), dtype=np.float32))
+        doc["test"]["labels"] = []
+        manifest.write_text(json.dumps(doc))
+        scenario = {"manifest": str(manifest)}
+        message = f"error: {manifest}: the test split has no labels"
+    cfg = run_config(tmp_path, scenario=scenario)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_run_manifest_missing_key_exits_1(tmp_path, capsys):
+    manifest, doc = _saved_manifest(tmp_path, capsys)
+    del doc["batches"][1]["labels"]
+    manifest.write_text(json.dumps(doc))
+    cfg = run_config(tmp_path, scenario={"manifest": str(manifest)})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {manifest}: missing key 'labels'"]
+
+
+def test_run_spec_missing_key_exits_1(tmp_path, capsys):
+    spec = tinynic_network_spec(classes=4, width=4)
+    del spec["layers"][1]["kind"]
+    (tmp_path / "net.json").write_text(json.dumps(spec))
+    cfg = run_config(tmp_path, network={"spec_path": "net.json"})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {tmp_path / 'net.json'}: missing key 'kind'"]
 
 
 def test_run_spec_path_matches_builtin_and_honours_block_tap(tmp_path):

@@ -264,6 +264,22 @@ def test_conv_bit_identical_to_einsum(name, n):
     assert same_bits(kernels.conv2d_weight_grad(x, kern, dy, stride, pad, groups), dk_ref)
 
 
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv_input_layout_does_not_change_bits(pad):
+    """The im2col window is a strided view of the padded copy, which must
+    be C-contiguous whatever the layout of x."""
+    r = SeededRng(15)
+    x = r.normal((3, 4, 6, 6))
+    kern = r.normal((6, 4, 3, 3))
+    ref = kernels.conv2d(x, kern, 1, pad)
+    for layout in ((0, 1, 3, 2), (3, 2, 1, 0), (1, 0, 2, 3)):
+        back = np.argsort(layout)
+        xl = np.ascontiguousarray(x.transpose(layout)).transpose(back)
+        assert not xl.flags.c_contiguous
+        assert same_bits(kernels.conv2d(xl, kern, 1, pad), ref)
+        assert same_bits(kernels.conv2d_weight_grad(xl, kern, ref, 1, pad),
+                         kernels.conv2d_weight_grad(x, kern, ref, 1, pad))
+
 
 @pytest.mark.parametrize("n", [1, 48, 256])
 @pytest.mark.parametrize("name", [k for k in CONV_SHAPES if k != "grouped"])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from latentreplay.layers import (Brn, Conv, Dense, DwConv, Flatten,
-                                 GlobalAvgPool, Relu)
+                                 GlobalAvgPool, Relu, TRAIN)
+from latentreplay.presets import build_tinynic_network
 from latentreplay.rng import SeededRng
 
 from conftest import check_grad_tensor
@@ -97,6 +98,24 @@ def test_relu_forward_and_gradient(rng):
     assert np.all(y >= 0)
     dx, _ = layer_grads(layer, x)
     check_grad_tensor(layer_loss(layer, x), x, dx, rng, h=1e-3, label="relu x")
+
+
+def test_relu_matches_reference_bitwise():
+    """Forward and backward equal the float32 casts of numpy's maximum and
+    masked product, signed zeros included."""
+    layer = Relu("r")
+    r = SeededRng(41)
+    for dtype in (np.float32, np.float64):
+        x = r.normal((48, 8, 8, 8)).astype(dtype)
+        x[0, 0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+        dy = r.normal(x.shape).astype(dtype)
+        y, mask = layer.forward(x, "train")
+        dx, _ = layer.backward(dy, mask)
+        assert y.dtype == dx.dtype == np.float32
+        assert np.array_equal(y.view(np.uint32),
+                              np.maximum(x, 0.0).astype(np.float32).view(np.uint32))
+        assert np.array_equal(dx.view(np.uint32),
+                              (dy * (x > 0)).astype(np.float32).view(np.uint32))
 
 
 def test_pool_gradient(rng):
@@ -251,3 +270,105 @@ def test_brn_4d_channel_axis():
     assert y.shape == x.shape
     with pytest.raises(Exception):
         layer.out_shape((2, 5, 5))
+
+
+# -- bitwise oracle for the in-place BRN ------------------------------------------
+
+
+class BrnReference(Brn):
+    """Brn before it ran in place: numpy's mean/var/clip on fresh float64
+    temporaries, with xhat kept in the moving-moment cache. Bitwise
+    reference for the layer."""
+
+    def forward(self, x, mode):
+        axes = (0, 2, 3) if x.ndim == 4 else (0,)
+        gamma = self._bview(self.params["gamma"].astype(np.float64), x.ndim)
+        beta = self._bview(self.params["beta"].astype(np.float64), x.ndim)
+        if mode == TRAIN and not self.moments_frozen:
+            xf = x.astype(np.float64)
+            mu_b = xf.mean(axis=axes)
+            sigma_b = np.sqrt(xf.var(axis=axes) + self.eps)
+            r = np.clip(sigma_b / self.sigma_mov, 1.0 / self.r_max, self.r_max)
+            d = np.clip((mu_b - self.mu_mov) / self.sigma_mov, -self.d_max, self.d_max)
+            xhat = (xf - self._bview(mu_b, x.ndim)) / self._bview(sigma_b, x.ndim)
+            y = gamma * (xhat * self._bview(r, x.ndim) + self._bview(d, x.ndim)) + beta
+            self.mu_mov = self.avg_rate * self.mu_mov + (1 - self.avg_rate) * mu_b
+            self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
+            return y.astype(np.float32), ("batch", xhat, sigma_b, r, d)
+        xf = x.astype(np.float64)
+        xhat = (xf - self._bview(self.mu_mov, x.ndim)) / self._bview(self.sigma_mov, x.ndim)
+        y = gamma * xhat + beta
+        return y.astype(np.float32), ("moving", xhat)
+
+    def backward(self, dy, cache, need_dx=True):
+        gamma = self._bview(self.params["gamma"].astype(np.float64), dy.ndim)
+        axes = (0, 2, 3) if dy.ndim == 4 else (0,)
+        dyf = dy.astype(np.float64)
+        if cache[0] == "batch":
+            _, xhat, sigma_b, r, d = cache
+            rb, db = self._bview(r, dy.ndim), self._bview(d, dy.ndim)
+            dgamma = (dyf * (xhat * rb + db)).sum(axis=axes)
+            dbeta = dyf.sum(axis=axes)
+            dxhat = dyf * gamma * rb
+            m_d = dxhat.mean(axis=axes)
+            m_dx = (dxhat * xhat).mean(axis=axes)
+            dx = (dxhat - self._bview(m_d, dy.ndim)
+                  - xhat * self._bview(m_dx, dy.ndim)) / self._bview(sigma_b, dy.ndim)
+        else:
+            _, xhat = cache
+            dgamma = (dyf * xhat).sum(axis=axes)
+            dbeta = dyf.sum(axis=axes)
+            dx = dyf * gamma / self._bview(self.sigma_mov, dy.ndim)
+        return dx.astype(np.float32), {"gamma": dgamma.astype(np.float32),
+                                       "beta": dbeta.astype(np.float32)}
+
+
+_TINYNIC = build_tinynic_network()
+# the TinyNIC BRN input shapes (brn1 and brn2 share one), plus a [n, c]
+# input for the 2-D path
+BRN_SHAPES = sorted({_TINYNIC.out_shape_of(l.name) for l in _TINYNIC.layers
+                     if isinstance(l, Brn)}) + [(32,)]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    return np.array_equal(a.view(np.uint64 if a.dtype == np.float64 else np.uint32),
+                          b.view(np.uint64 if b.dtype == np.float64 else np.uint32))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval", "frozen"])
+@pytest.mark.parametrize("n", [1, 4, 48, 256])
+@pytest.mark.parametrize("shape", BRN_SHAPES, ids=str)
+def test_brn_matches_reference_bitwise(shape, n, mode):
+    """Two forwards, then backward from each cache: the first cache feeds
+    backward after the second forward has moved the moments (train mode).
+    Moving moments are wide enough that r and d clip on some channels and
+    not on others. The float64 batch caches are compared too, because a
+    one-ulp float64 change rarely survives the float32 cast of y."""
+    c = shape[0]
+    r = SeededRng(1000 * n + int(np.prod(shape)))
+    gamma = (0.5 + r.uniform((c,))).astype(np.float32)
+    beta = (0.1 * r.normal((c,))).astype(np.float32)
+    mu, sigma = 0.5 * r.normal((c,)).astype(np.float64), 0.4 + 3.0 * r.uniform((c,))
+    xs = [(1.7 * r.normal((n,) + shape) + 0.4).astype(np.float32) for _ in range(2)]
+    dys = [r.normal((n,) + shape) for _ in range(2)]
+    fmode = "eval" if mode == "eval" else "train"
+    outs = []
+    for cls in (Brn, BrnReference):
+        layer = cls("b", c, avg_rate=0.9)
+        layer.params["gamma"], layer.params["beta"] = gamma.copy(), beta.copy()
+        layer.mu_mov, layer.sigma_mov = mu.copy(), sigma.copy()
+        layer.moments_frozen = mode == "frozen"
+        fwd = [layer.forward(x, fmode) for x in xs]
+        out = [y for y, _ in fwd]
+        out += [a for _, cache in fwd if cache[0] == "batch" for a in cache[1:]]
+        for (_, cache), dy in zip(fwd, dys):
+            dx, g = layer.backward(dy, cache)
+            out += [dx, g["gamma"], g["beta"]]
+        outs.append(out + [layer.mu_mov, layer.sigma_mov])
+    new, ref = outs
+    assert len(new) == len(ref) == (18 if mode == "train" else 10)
+    for i, (a, b) in enumerate(zip(new, ref)):
+        assert same_bits(a, b), f"output {i} differs"

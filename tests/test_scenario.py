@@ -115,7 +115,8 @@ def test_invalid_params_rejected():
         generate_tinynic(ScenarioParams(classes=1), seed=0)
     with pytest.raises(ConfigError):
         generate_tinynic(ScenarioParams(first_batch_classes=99), seed=0)
-    for bad in ({"classes": "4"}, {"frames_per_session": 2.5}, {"step_sigma": "x"}):
+    for bad in ({"classes": "4"}, {"frames_per_session": 2.5}, {"step_sigma": "x"},
+                {"test_frames_per_instance": 0}):
         with pytest.raises(ConfigError):
             generate_tinynic(ScenarioParams(**bad), seed=0)
 
@@ -241,6 +242,14 @@ def test_manifest_shape_mismatch_errors(tmp_path):
     with open(manifest, "w") as fh:
         json.dump(doc, fh)
     with pytest.raises(TensorFormatError):
+        load_dataset(manifest)
+
+
+def test_manifest_without_test_labels_errors(tmp_path):
+    scen = generate_tinynic(SMALL, seed=18)
+    scen.test_x, scen.test_y = scen.test_x[:0], scen.test_y[:0]
+    manifest = save_scenario(scen, tmp_path / "ds")
+    with pytest.raises(TensorFormatError, match="test split has no labels"):
         load_dataset(manifest)
 
 
