@@ -6,8 +6,8 @@ Subcommands:
   tradeoff  print the computation/storage trade-off table for a cost CSV
 
 stdout carries data, stderr carries diagnostics. Exit codes: 0 success,
-1 config error, 2 runtime error. LR_THREADS caps the worker count for
-multi-seed runs.
+1 config error, 2 runtime error. Jobs run on one thread per CPU. A block's
+"tap" picks its network's tap; "track_drift" makes latent memories report drift.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import accounting
 from .errors import (ConfigError, ShapeError, StateError, TensorFormatError, require_bool,
-                     require_finite, require_int)
+                     require_finite, require_int, require_str)
 from .network import Network
 from .presets import build_tinynic_network
 from .replay import SparsifierConfig
@@ -38,10 +38,12 @@ _RUN_KEYS = {"scenario", "network", "strategies", "seeds", "include_cumulative",
 _SCENARIO_KEYS = {"generator", "manifest"}
 _NETWORK_KEYS = {"builtin", "tap", "width", "avg_rate", "spec_path"}
 _SPARSIFIER_KEYS = {"alpha", "first_batch_only"}
-_STRATEGY_EXTRA = {"name", "sparsifier"}
+_STRATEGY_EXTRA = {"name", "sparsifier", "tap"}
 
 
 def _check_keys(block: dict, allowed: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -53,14 +55,12 @@ def _scenario_params_from(block: dict) -> tuple[ScenarioParams, int]:
     seed = block.get("seed", 0)
     require_int("seed", seed, 0)
     kwargs = {k: v for k, v in block.items() if k in fields}
-    if "pattern_shape" in kwargs:
-        kwargs["pattern_shape"] = tuple(kwargs["pattern_shape"])
     params = ScenarioParams(**kwargs)
     params.validate()
     return params, seed
 
 
-def _strategy_from(block: dict) -> tuple[str, StrategyConfig]:
+def _strategy_from(block: dict) -> tuple[str, str | None, StrategyConfig]:
     fields = {f.name for f in dataclasses.fields(StrategyConfig)}
     _check_keys(block, fields | _STRATEGY_EXTRA, "strategy block")
     name = block.get("name") or block.get("strategy", "naive")
@@ -69,15 +69,13 @@ def _strategy_from(block: dict) -> tuple[str, StrategyConfig]:
     if spars is not None:
         _check_keys(spars, _SPARSIFIER_KEYS, "sparsifier block")
         kwargs["sparsifier"] = SparsifierConfig(**spars)
-    return str(name), StrategyConfig(**kwargs)
+    return str(name), block.get("tap"), StrategyConfig(**kwargs)
 
 
 class ExperimentConfig:
     """Validated experiment description (unknown keys rejected)."""
 
     def __init__(self, doc: dict, base_dir: str = "."):
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
         _check_keys(doc, _RUN_KEYS, "config")
         if "scenario" not in doc or "strategies" not in doc:
             raise ConfigError("config needs 'scenario' and 'strategies'")
@@ -88,7 +86,8 @@ class ExperimentConfig:
         self.scenario_manifest = None
         self.scenario_params = self.scenario_seed = None
         if "manifest" in block:
-            self.scenario_manifest = os.path.join(base_dir, block["manifest"])
+            self.scenario_manifest = os.path.join(
+                base_dir, require_str("scenario.manifest", block["manifest"]))
         elif "generator" in block:
             self.scenario_params, self.scenario_seed = _scenario_params_from(
                 block["generator"])
@@ -99,8 +98,10 @@ class ExperimentConfig:
         _check_keys(net_block, _NETWORK_KEYS, "network")
         self.network_block = net_block
 
+        if not isinstance(doc["strategies"], list):
+            raise ConfigError(f"strategies must be a list, got {doc['strategies']!r}")
         self.strategies = [_strategy_from(b) for b in doc["strategies"]]
-        names = [n for n, _ in self.strategies]
+        names = [n for n, _, _ in self.strategies]
         if len(set(names)) != len(names):
             raise ConfigError("strategy names must be unique")
         self.seeds = doc.get("seeds", [0])
@@ -122,6 +123,8 @@ class ExperimentConfig:
         for name in ("include_cumulative", "record_timing", "track_drift"):
             require_bool(name, getattr(self, name))
         self.output_dir = doc.get("output_dir")
+        if self.output_dir is not None:
+            require_str("output_dir", self.output_dir)
 
     def load_scenario(self) -> NicScenario:
         if self.scenario_manifest is not None:
@@ -134,7 +137,8 @@ class ExperimentConfig:
         block = self.network_block
         tap = tap or block.get("tap")
         if "spec_path" in block:
-            path = os.path.join(self.base_dir, block["spec_path"])
+            path = os.path.join(self.base_dir,
+                                require_str("network.spec_path", block["spec_path"]))
             with open(path) as fh:
                 doc = json.load(fh)
             try:
@@ -156,26 +160,16 @@ def _load_json(path):
 # -- subcommands --------------------------------------------------------------
 
 
-def _prepare(cfg: ExperimentConfig, scenario: NicScenario, strat: StrategyConfig,
-             seed: int) -> tuple[Network, StrategyConfig]:
-    """Build one strategy block's network and check the block against it."""
-    tap = strat.tap
+def _prepare(cfg: ExperimentConfig, scenario: NicScenario, tap: str | None,
+             strat: StrategyConfig, seed: int) -> tuple[Network, StrategyConfig]:
+    """Build a block's network, tapped at ``tap``, and check the block against it."""
     if strat.strategy in ("cwr*", "dslda") and tap is None:
         tap = "pool"
     net = cfg.build_network(scenario.classes, seed, tap=tap)
-    replace = {"tap": net.tap}
     if cfg.track_drift and strat.replay_kind == "latent":
-        replace["store_patterns"] = True  # drift needs the debug back-references
-    strat = dataclasses.replace(strat, **replace)
+        strat = dataclasses.replace(strat, store_patterns=True)  # drift needs the patterns
     strat.validate(net)
     return net, strat
-
-
-def _run_one(cfg: ExperimentConfig, scenario: NicScenario, name: str, net: Network,
-             strat: StrategyConfig, seed: int):
-    rows = run_protocol(net, strat, scenario, seed=seed, eval_every=cfg.eval_every,
-                        track_drift=cfg.track_drift, record_timing=cfg.record_timing)
-    return (name, seed), rows
 
 
 def cmd_run(args) -> int:
@@ -189,20 +183,18 @@ def cmd_run(args) -> int:
 
     scenario = cfg.load_scenario()
     # every block is checked before the first one trains
-    jobs = [(name, *_prepare(cfg, scenario, strat, seed), seed)
-            for name, strat in cfg.strategies for seed in seeds]
-    workers = max(1, int(os.environ.get("LR_THREADS", "1") or "1"))
-    results: dict = {}
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_run_one, cfg, scenario, *job) for job in jobs]
-            for fut in futs:
-                key, rows = fut.result()
-                results[key] = rows
-    else:
-        for job in jobs:
-            key, rows = _run_one(cfg, scenario, *job)
-            results[key] = rows
+    jobs = {(name, seed): _prepare(cfg, scenario, tap, strat, seed)
+            for name, tap, strat in cfg.strategies for seed in seeds}
+    workers = max(1, min(len(jobs), os.cpu_count() or 1))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        futs = {pool.submit(run_protocol, net, strat, scenario, seed=key[1],
+                            eval_every=cfg.eval_every, record_timing=cfg.record_timing): key
+                for key, (net, strat) in jobs.items()}
+        for fut in concurrent.futures.as_completed(futs):
+            if fut.exception() is not None:  # the first failure ends the run
+                pool.shutdown(cancel_futures=True)
+                raise fut.exception()
+        results = {key: fut.result() for fut, key in futs.items()}
 
     cumulative: dict[int, MetricsRow] = {}
     if cfg.include_cumulative:
@@ -214,7 +206,7 @@ def cmd_run(args) -> int:
 
     single = len(cfg.strategies) == 1 and len(seeds) == 1
     summary: dict = {"strategies": {}, "seeds": seeds}
-    for name, _ in cfg.strategies:
+    for name, _, _ in cfg.strategies:
         per_seed = {}
         for seed in seeds:
             rows = results[(name, seed)]
@@ -237,7 +229,7 @@ def cmd_run(args) -> int:
                          for s in seeds},
             "final_accuracy_mean": float(np.mean(cum_finals)),
         }
-        for name, _ in cfg.strategies:
+        for name, _, _ in cfg.strategies:
             entry = summary["strategies"][name]
             entry["gap_vs_cumulative"] = (summary["cumulative"]["final_accuracy_mean"]
                                           - entry["final_accuracy_mean"])

@@ -34,8 +34,17 @@ def require_bool(name: str, value) -> None:
         raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
-def require_finite(name: str, value) -> None:
-    """ConfigError unless ``value`` is a finite real (not a bool) >= 0."""
+def require_str(name: str, value) -> str:
+    """``value``, if it is a string (a JSON string); else ConfigError."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def require_finite(name: str, value, minimum: float = 0, maximum: float = math.inf) -> None:
+    """ConfigError unless ``value`` is a finite real (not a bool) in
+    [``minimum``, ``maximum``]."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0):
-        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+            or not math.isfinite(value) or not minimum <= value <= maximum):
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError, require_finite
 from .layers import Brn, Conv, Dense, DwConv, Flatten, GlobalAvgPool, Layer, Relu, EVAL, TRAIN
 from .rng import SeededRng
 
@@ -246,9 +246,12 @@ class Network:
             elif kind == "relu":
                 layers.append(Relu(name))
             elif kind == "brn":
-                layers.append(Brn(name, cur[0], item.get("r_max", 1.25),
-                                  item.get("d_max", 0.5),
-                                  item.get("avg_rate", 0.99995)))
+                r_max, d_max, avg_rate = (item.get("r_max", 1.25), item.get("d_max", 0.5),
+                                          item.get("avg_rate", 0.99995))
+                require_finite(f"{name}.r_max", r_max, minimum=1)
+                require_finite(f"{name}.d_max", d_max)
+                require_finite(f"{name}.avg_rate", avg_rate, maximum=1)
+                layers.append(Brn(name, cur[0], r_max, d_max, avg_rate))
             elif kind == "avgpool":
                 layers.append(GlobalAvgPool(name))
             elif kind == "flatten":

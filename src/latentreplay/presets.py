@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import ConfigError, require_finite, require_int
+from .errors import ConfigError, require_int
 from .network import Network
 
 TINYNIC_TAPS = ("relu1", "relu2", "relu3", "relu4", "relu5", "pool")
@@ -18,9 +18,6 @@ def tinynic_network_spec(classes: int = 10, tap: str = "relu3", width: int = 8,
     if tap not in TINYNIC_TAPS:
         raise ConfigError(f"tap must be one of {TINYNIC_TAPS}, got {tap!r}")
     require_int("width", width, 1)
-    require_finite("avg_rate", avg_rate)
-    if avg_rate > 1:
-        raise ConfigError(f"avg_rate must be <= 1, got {avg_rate!r}")
     w = width
     layers = [
         {"name": "conv1", "kind": "conv", "out_channels": w, "kernel": 4,

@@ -43,6 +43,11 @@ class ScenarioParams:
                      "first_batch_classes", "first_batch_instances"):
             require_int(name, getattr(self, name), 0)
         require_int("test_frames_per_instance", self.test_frames_per_instance, 1)
+        if not isinstance(self.pattern_shape, (list, tuple)) or not self.pattern_shape:
+            raise ConfigError("pattern_shape must be a non-empty list of integers, "
+                              f"got {self.pattern_shape!r}")
+        for extent in self.pattern_shape:
+            require_int("pattern_shape[]", extent, 1)
         for name in ("instance_jitter", "step_sigma", "walk_bound"):
             require_finite(name, getattr(self, name))
         if self.classes < 2:
@@ -140,19 +145,23 @@ class MetricsRow:
     test_accuracy: float
     train_ms: float
     rm_items: int
-    drift: float | None = None
+    drift: float | None = None  # once a latent memory keeping patterns has items
 
 
 def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenario,
-                 seed: int = 0, eval_every: int = 1, track_drift: bool = False,
+                 seed: int = 0, eval_every: int = 1,
                  record_timing: bool = True) -> list[MetricsRow]:
     """Train along the stream; evaluate on the fixed test set after each
     batch (or every ``eval_every`` batches). One row per evaluation."""
     if net.class_count < scenario.classes:
         raise ConfigError(f"network scores {net.class_count} classes, "
                           f"scenario has {scenario.classes}")
+    if scenario.test_x.shape[1:] != net.input_shape:
+        raise ConfigError(f"network takes {net.input_shape} inputs, scenario "
+                          f"patterns are {scenario.test_x.shape[1:]}")
     require_int("eval_every", eval_every, 1)
     trainer = ContinualTrainer(net, strategy_cfg, seed)
+    rm = trainer.rm
     rows = []
     n = len(scenario.batches)
     for k, batch in enumerate(scenario.batches, start=1):
@@ -161,13 +170,12 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
             continue
         acc = trainer.accuracy(scenario.test_x, scenario.test_y)
         drift = None
-        if track_drift and trainer.rm is not None and trainer.rm.kind == "latent" \
-                and trainer.rm.patterns is not None and len(trainer.rm):
-            drift = aging_drift(trainer.rm, net)
+        if rm is not None and rm.kind == "latent" and rm.patterns is not None and len(rm):
+            drift = aging_drift(rm, net)
         rows.append(MetricsRow(
             batch_index=k, test_accuracy=acc,
             train_ms=report.train_ms if record_timing else 0.0,
-            rm_items=len(trainer.rm) if trainer.rm is not None else 0,
+            rm_items=len(rm) if rm is not None else 0,
             drift=drift))
     return rows
 

@@ -185,12 +185,10 @@ class DsldaState:
 @dataclass
 class StrategyConfig:
     strategy: str = "naive"
-    replay_kind: str | None = None      # None | "native" | "latent"
-    tap: str | None = None              # latent tap; must match the network's
+    replay_kind: str | None = None      # None | "native" | "latent"; latents at net.tap
     rm_capacity: int = 0
     epochs: int = 4
     mb: int = 32
-    iterations: int | None = None       # per epoch; default covers the batch
     lr_first: float = 0.001
     lr_head: float = 0.003
     lr_other: float = 0.0003
@@ -211,11 +209,6 @@ class StrategyConfig:
             raise ConfigError(f"unknown replay kind {self.replay_kind!r}")
         if self.strategy == "dslda" and self.replay_kind is not None:
             raise ConfigError("dslda streams features; it takes no replay memory")
-        if self.replay_kind == "latent":
-            tap = self.tap or net.tap
-            if tap != net.tap:
-                raise ConfigError(f"latent replay tap {tap!r} does not match "
-                                  f"network tap {net.tap!r}")
         if self.strategy == "cwr*":
             above = net.layers[net.tap_index + 1:]
             parameterized = [l.name for l in above if l.params]
@@ -226,11 +219,12 @@ class StrategyConfig:
         require_int("epochs", self.epochs, 1)
         require_int("mb", self.mb, 1)
         require_int("rm_capacity", self.rm_capacity, 0)
-        if self.iterations is not None:
-            require_int("iterations", self.iterations, 1)
         for name in ("lr_first", "lr_head", "lr_other", "si_lambda", "si_xi",
                      "si_w1", "si_wi", "si_max_f"):
             require_finite(name, getattr(self, name))
+        if self.si_xi == 0:
+            raise ConfigError("si_xi must be > 0, got 0")
+        require_finite("dslda_shrink", self.dslda_shrink, maximum=1)
         for name in ("freeze_below_tap_moments", "store_patterns"):
             require_bool(name, getattr(self, name))
 
@@ -257,7 +251,7 @@ class ContinualTrainer:
         self.rm: ReplayMemory | None = None
         if cfg.replay_kind is not None:
             self.rm = ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E),
-                                   kind=cfg.replay_kind, tap=cfg.tap or net.tap,
+                                   kind=cfg.replay_kind, tap=net.tap,
                                    store_patterns=cfg.store_patterns)
         head = net.layer(net.head_name)
         self.cwr = None
@@ -333,7 +327,7 @@ class ContinualTrainer:
         else:
             n_nat, n_rep = min(cfg.mb, B), 0
         n_nat = max(n_nat, 1)
-        iterations = cfg.iterations or -(-B // n_nat)
+        iterations = -(-B // n_nat)
         sparsify = cfg.sparsifier.active(i)
 
         trace = []

@@ -213,13 +213,24 @@ def test_run_invalid_json(tmp_path):
                                  {"config": {"record_timing": "false"}},
                                  {"config": {"track_drift": 0}},
                                  {"config": {"include_cumulative": "true"}},
-                                 {"freeze_below_tap_moments": "false"}])
+                                 {"freeze_below_tap_moments": "false"},
+                                 {"sparsifier": 5}, {"si_xi": 0}, {"dslda_shrink": -1},
+                                 {"config": {"scenario": 5}}, {"config": {"network": 5}},
+                                 {"config": {"strategies": 5}},
+                                 {"config": {"strategies": [5]}},
+                                 {"config": {"network": {"spec_path": 5}}},
+                                 {"config": {"scenario": {"manifest": 5}}},
+                                 {"config": {"output_dir": 5}},
+                                 {"config": {"scenario": {"generator": dict(
+                                     SMALL_GEN, pattern_shape="ab")}}},
+                                 {"config": {"scenario": {"generator": dict(
+                                     SMALL_GEN, pattern_shape=[1, 8, 8])}}}])
 def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     """A bad strategy-block value, or a bad top-level one under "config"."""
     bad = dict(bad)
     top = bad.pop("config", {})
-    cfg = run_config(tmp_path, strategies=[dict({"name": "x", "strategy": "naive"}, **bad)],
-                     **top)
+    cfg = run_config(tmp_path, **dict(
+        {"strategies": [dict({"name": "x", "strategy": "naive"}, **bad)]}, **top))
     proc = subprocess.run(
         [sys.executable, "-m", "latentreplay", "run", "--config", str(cfg),
          "--out", str(tmp_path / "o")], capture_output=True, text=True)
@@ -287,6 +298,20 @@ def test_run_spec_missing_key_exits_1(tmp_path, capsys):
         f"error: {tmp_path / 'net.json'}: missing key 'kind'"]
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("r_max", 0, "brn1.r_max must be a finite number >= 1, got 0"),
+    ("d_max", -1, "brn1.d_max must be a finite number >= 0, got -1"),
+    ("avg_rate", "x", "brn1.avg_rate must be a finite number in [0, 1], got 'x'")],
+    ids=["r_max", "d_max", "avg_rate"])
+def test_run_spec_bad_brn_field_exits_1(tmp_path, capsys, field, value, message):
+    spec = tinynic_network_spec(classes=4, width=4)
+    spec["layers"][1][field] = value
+    (tmp_path / "net.json").write_text(json.dumps(spec))
+    cfg = run_config(tmp_path, network={"spec_path": "net.json"})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_run_spec_path_matches_builtin_and_honours_block_tap(tmp_path):
     (tmp_path / "net.json").write_text(json.dumps(tinynic_network_spec(classes=4, width=4)))
     blocks = [{"name": "relu3", "strategy": "ar1*free", "replay_kind": "latent",
@@ -303,7 +328,8 @@ def test_run_spec_path_matches_builtin_and_honours_block_tap(tmp_path):
         assert (outs["spec"] / name).read_bytes() == (outs["builtin"] / name).read_bytes()
     cfg = cli.ExperimentConfig(json.loads(cfg.read_text()), base_dir=str(tmp_path))
     scenario = cfg.load_scenario()
-    taps = [cli._prepare(cfg, scenario, strat, 0)[0].tap for _, strat in cfg.strategies]
+    taps = [cli._prepare(cfg, scenario, tap, strat, 0)[0].tap
+            for _, tap, strat in cfg.strategies]
     assert taps == ["relu3", "pool"]
 
 
@@ -329,12 +355,17 @@ def test_run_zero_divisor_is_config_error(tmp_path, capsys, key, overrides):
     assert capsys.readouterr().err.startswith(f"error: {key} must be an integer >= 1")
 
 
-def test_run_checks_every_block_before_training(tmp_path, monkeypatch):
+@pytest.mark.parametrize("bad", [
+    {"strategy": "naive", "lr_other": -0.1}, {"strategy": "ar1*", "si_xi": 0},
+    {"strategy": "dslda", "dslda_shrink": "x"}, {"strategy": "dslda", "dslda_shrink": -1},
+    {"strategy": "dslda", "dslda_shrink": 2}],
+    ids=["lr_other", "si_xi", "dslda_shrink-x", "dslda_shrink-neg", "dslda_shrink-2"])
+def test_run_checks_every_block_before_training(tmp_path, monkeypatch, bad):
     calls = []
     monkeypatch.setattr(cli, "run_protocol", lambda *a, **k: calls.append(a))
     cfg = run_config(tmp_path, strategies=[
         {"name": "good", "strategy": "naive", "epochs": 1, "mb": 16},
-        {"name": "bad", "strategy": "naive", "lr_other": -0.1}])
+        dict({"name": "bad"}, **bad)])
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert calls == []
@@ -357,15 +388,43 @@ def test_run_multiseed_files(tmp_path):
     assert (out / "metrics_naive_s2.csv").exists()
 
 
-def test_run_threaded_matches_sequential(tmp_path, monkeypatch):
-    cfg = run_config(tmp_path, seeds=[1, 2])
-    out_seq, out_thr = tmp_path / "seq", tmp_path / "thr"
-    monkeypatch.setenv("LR_THREADS", "1")
-    assert main(["run", "--config", str(cfg), "--out", str(out_seq)]) == 0
-    monkeypatch.setenv("LR_THREADS", "2")
-    assert main(["run", "--config", str(cfg), "--out", str(out_thr)]) == 0
-    for name in ("metrics_naive_s1.csv", "metrics_naive_s2.csv", "summary.json"):
-        assert (out_seq / name).read_bytes() == (out_thr / name).read_bytes()
+def test_run_pooled_jobs_match_single_runs(tmp_path):
+    blocks = [{"name": "naive", "strategy": "naive", "epochs": 1, "mb": 16},
+              {"name": "latent", "strategy": "ar1*free", "replay_kind": "latent",
+               "rm_capacity": 20, "epochs": 1, "mb": 16}]
+    cfg = run_config(tmp_path, strategies=blocks, seeds=[1, 2], track_drift=True)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
+    for block in blocks:
+        one = run_config(tmp_path, strategies=[block], seeds=[1, 2], track_drift=True)
+        for seed in (1, 2):
+            out = tmp_path / f"{block['name']}{seed}"
+            assert main(["run", "--config", str(one), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            pooled = tmp_path / "all" / f"metrics_{block['name']}_s{seed}.csv"
+            assert pooled.read_bytes() == (out / "metrics.csv").read_bytes()
+
+
+def test_run_first_failure_cancels_jobs_not_started(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    started = []
+
+    def run_protocol(net, strat, *args, **kwargs):
+        started.append(strat.lr_first)
+        return real(net, strat, *args, **kwargs)
+
+    real = cli.run_protocol
+    monkeypatch.setattr(cli, "run_protocol", run_protocol)
+    cfg = run_config(tmp_path, strategies=[
+        {"name": "diverges", "strategy": "naive", "epochs": 1, "mb": 16,
+         "lr_first": 1e6, "lr_head": 1e6, "lr_other": 1e6},
+        {"name": "second", "strategy": "naive", "epochs": 1, "mb": 16, "lr_first": 2e-3},
+        {"name": "third", "strategy": "naive", "epochs": 1, "mb": 16, "lr_first": 3e-3}])
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime error: non-finite logits after batch 1: the run diverged"]
+    assert list(out.iterdir()) == []
+    assert started[0] == 1e6 and 3e-3 not in started
 
 
 def test_console_entry_point_runs():

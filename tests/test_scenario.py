@@ -116,7 +116,8 @@ def test_invalid_params_rejected():
     with pytest.raises(ConfigError):
         generate_tinynic(ScenarioParams(first_batch_classes=99), seed=0)
     for bad in ({"classes": "4"}, {"frames_per_session": 2.5}, {"step_sigma": "x"},
-                {"test_frames_per_instance": 0}):
+                {"test_frames_per_instance": 0}, {"pattern_shape": "ab"},
+                {"pattern_shape": []}, {"pattern_shape": [1, 0, 8]}):
         with pytest.raises(ConfigError):
             generate_tinynic(ScenarioParams(**bad), seed=0)
 
@@ -145,6 +146,29 @@ def test_run_protocol_eval_every():
                for r in rows)
     with pytest.raises(ConfigError, match="eval_every"):
         run_protocol(net, cfg, scen, seed=0, eval_every=0)
+
+
+def test_run_protocol_rejects_scenario_of_other_input_shape():
+    scen = generate_tinynic(ScenarioParams(classes=4, first_batch_classes=2,
+                                           pattern_shape=(1, 8, 8)), seed=9)
+    net = build_tinynic_network(classes=4, seed=2)
+    with pytest.raises(ConfigError, match=r"takes \(1, 16, 16\) inputs"):
+        run_protocol(net, StrategyConfig(strategy="naive"), scen, seed=0)
+
+
+@pytest.mark.parametrize("store_patterns", [False, True])
+def test_run_protocol_reports_drift_when_latent_memory_keeps_patterns(store_patterns):
+    scen = generate_tinynic(SMALL, seed=9)
+    net = build_tinynic_network(classes=4, seed=2, width=4)
+    cfg = StrategyConfig(strategy="ar1*free", replay_kind="latent", rm_capacity=20,
+                         epochs=1, mb=16, store_patterns=store_patterns)
+    drifts = [r.drift for r in run_protocol(net, cfg, scen, seed=0)]
+    assert len(drifts) == len(scen.batches)
+    if store_patterns:
+        assert all(d is not None and d >= 0.0 for d in drifts)
+        assert max(drifts) > 0.0  # the lower BRN moments move
+    else:
+        assert drifts == [None] * len(scen.batches)
 
 
 def test_one_batch_scenario_equals_direct_training():
