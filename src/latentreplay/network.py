@@ -19,6 +19,11 @@ from .rng import SeededRng
 
 Gradients = dict  # layer name -> {param name -> gradient array}
 
+# Rows per eval-mode pass. A row's result does not depend on how many rows
+# share its pass, so this bounds the scratch memory of evaluation and of
+# tap extraction without changing a bit of their output.
+_EVAL_ROWS = 64
+
 
 class Network:
     _ctx = None  # the last train-mode pass's record for backward; see _forward
@@ -155,8 +160,16 @@ class Network:
         return self._chunked(self.layers, x)
 
     def _chunked(self, layers, x):
-        return np.concatenate([self._run(layers, x[lo:lo + 256], EVAL)
-                               for lo in range(0, len(x), 256)], axis=0)
+        """Eval-mode output of ``layers`` (the net's first k) for rows
+        ``x``, run in passes of at most ``_EVAL_ROWS`` rows that each fill
+        their slice of one float32 output."""
+        if len(x) == 0:
+            raise ShapeError("empty batch: no rows to evaluate")
+        self._check_input(x)
+        out = np.empty((len(x),) + self._shapes[layers[-1].name], dtype=np.float32)
+        for lo in range(0, len(x), _EVAL_ROWS):
+            out[lo:lo + _EVAL_ROWS] = self._run(layers, x[lo:lo + _EVAL_ROWS], EVAL)
+        return out
 
     def _check_input(self, x):
         if x.shape[1:] != self.input_shape:

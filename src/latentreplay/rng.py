@@ -4,9 +4,9 @@ The generator is counter-based splitmix64: draw k is the splitmix64
 finalizer applied to ``seed + (k+1) * 0x9E3779B97F4A7C15`` (mod 2^64).
 The 64-bit integer stream is therefore bit-identical on every platform;
 derived floats use only IEEE-754 arithmetic (uniforms take the top 53
-bits, normals come from Box-Muller). Sampling without replacement sorts
-one u64 key per element, so a draw of k items always consumes exactly n
-integers regardless of k.
+bits, normals come from Box-Muller). Sampling without replacement draws
+one u64 key per element and returns the k smallest in key order, so a
+draw of k items always consumes exactly n integers regardless of k.
 """
 
 from __future__ import annotations
@@ -53,16 +53,22 @@ class SeededRng:
 
     def normal(self, shape=None, dtype=np.float32) -> np.ndarray:
         """Standard normal draws via Box-Muller."""
-        n = 1 if shape is None else int(np.prod(shape))
+        z = self.normal_rows(1, () if shape is None else shape, dtype)
+        return z[0] if shape is None else z.reshape(shape)
+
+    def normal_rows(self, k: int, shape, dtype=np.float32) -> np.ndarray:
+        """``k`` consecutive ``normal(shape)`` draws as one ``[k, *shape]``
+        array: row j pairs its own 2m integers as draw j would, the first
+        m as Box-Muller radii and the last m as angles."""
+        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        n = int(np.prod(shape))
         m = (n + 1) // 2
-        u1 = 1.0 - (self.next_u64(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        u2 = (self.next_u64(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        r = np.sqrt(-2.0 * np.log(u1))
+        bits = (self.next_u64(k * 2 * m) >> np.uint64(11)).reshape(k, 2, m)
+        u1, u2 = bits.transpose(1, 0, 2).astype(np.float64, order="C") * (2.0 ** -53)
+        r = np.sqrt(-2.0 * np.log(1.0 - u1))
         theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        if shape is None:
-            return z.astype(dtype)[0]
-        return z.reshape(shape).astype(dtype)
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :n]
+        return z.reshape((k,) + shape).astype(dtype)
 
     def randint(self, lo: int, hi: int, n: int = 1) -> np.ndarray:
         """Integers in [lo, hi); multiply-shift mapping of one draw each."""
@@ -80,7 +86,12 @@ class SeededRng:
         if k > n:
             raise ValueError(f"cannot draw {k} from {n} without replacement")
         keys = self.next_u64(n)
-        return np.argsort(keys, kind="stable")[:k]
+        if k == n:
+            return np.argsort(keys, kind="stable")
+        # the n keys are distinct (distinct counters, and the finalizer is a
+        # bijection on u64), so the k smallest in order are the sort's prefix
+        smallest = np.argpartition(keys, k)[:k]
+        return smallest[np.argsort(keys[smallest])]
 
     def permutation(self, n: int) -> np.ndarray:
         return self.choice(n, n)

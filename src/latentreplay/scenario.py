@@ -90,12 +90,13 @@ class NicScenario:
 
 def _walk_session(rng: SeededRng, base: np.ndarray, frames: int,
                   step: float, bound: float) -> np.ndarray:
-    out = np.empty((frames,) + base.shape, dtype=np.float32)
+    """``frames`` frames of a walk from ``base``, clipped to +-``bound``."""
+    walk = step * rng.normal_rows(frames, base.shape, dtype=np.float64)
     w = np.zeros(base.shape, dtype=np.float64)
     for t in range(frames):
-        w = np.clip(w + step * rng.normal(base.shape, dtype=np.float64), -bound, bound)
-        out[t] = (base + w).astype(np.float32)
-    return out
+        w = np.clip(w + walk[t], -bound, bound)
+        walk[t] = w
+    return (base + walk).astype(np.float32)
 
 
 def generate_tinynic(params: ScenarioParams, seed: int) -> NicScenario:
@@ -103,7 +104,7 @@ def generate_tinynic(params: ScenarioParams, seed: int) -> NicScenario:
     params.validate()
     rng = SeededRng(seed).spawn(0x711C)
     shape = tuple(params.pattern_shape)
-    protos = [rng.normal(shape, dtype=np.float64) for _ in range(params.classes)]
+    protos = rng.normal_rows(params.classes, shape, dtype=np.float64)
 
     train_sessions: dict[tuple, np.ndarray] = {}
     test_sessions: dict[tuple, np.ndarray] = {}
@@ -223,6 +224,8 @@ def save_scenario(scenario: NicScenario, directory) -> str:
 
 def _labels(values, classes: int, fname: str) -> np.ndarray:
     """The manifest labels of ``fname``; each must be an integer in [0, classes)."""
+    if not isinstance(values, list):
+        raise TensorFormatError(f"{fname}: labels must be a list, got {values!r}")
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < classes:
             raise TensorFormatError(f"{fname}: label {v!r} is not an integer "
@@ -230,32 +233,47 @@ def _labels(values, classes: int, fname: str) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def _split(manifest_path, name: str, entry, classes: int, shape: tuple):
+    """(patterns, labels) of the manifest's split ``name``, an object
+    ``{"file", "labels"}``."""
+    if not isinstance(entry, dict):
+        raise TensorFormatError(f"{manifest_path}: {name} must be an object, got {entry!r}")
+    fname = entry["file"]
+    if not isinstance(fname, str):
+        raise TensorFormatError(f"{manifest_path}: {name}.file must be a string, "
+                                f"got {fname!r}")
+    x = load_tensor(os.path.join(os.path.dirname(manifest_path), fname))
+    y = _labels(entry["labels"], classes, fname)
+    if x.shape[0] != len(y) or x.shape[1:] != shape:
+        raise TensorFormatError(f"{fname}: payload shape {x.shape} disagrees with manifest")
+    return x, y
+
+
 def load_dataset(manifest_path) -> NicScenario:
     """Load a materialized scenario; deterministic order per manifest."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    base = os.path.dirname(manifest_path)
+    if not isinstance(manifest, dict):
+        raise TensorFormatError(f"{manifest_path}: the manifest must be an object")
     try:
-        shape = tuple(manifest["pattern_shape"])
+        shape = manifest["pattern_shape"]
+        if (not isinstance(shape, list) or not shape
+                or any(isinstance(e, bool) or not isinstance(e, int) or e < 1 for e in shape)):
+            raise TensorFormatError(f"{manifest_path}: pattern_shape must be a non-empty "
+                                    f"list of integers >= 1, got {shape!r}")
+        shape = tuple(shape)
         classes = manifest["classes"]
         require_int("classes", classes, 2)
-        batches = []
-        for entry in manifest["batches"]:
-            x = load_tensor(os.path.join(base, entry["file"]))
-            y = _labels(entry["labels"], classes, entry["file"])
-            if x.shape[0] != len(y) or x.shape[1:] != shape:
-                raise TensorFormatError(
-                    f"{entry['file']}: payload shape {x.shape} disagrees with manifest")
-            batches.append(SessionBatch(x=x, y=y))
-        test = manifest["test"]
-        test_x = load_tensor(os.path.join(base, test["file"]))
-        test_y = _labels(test["labels"], classes, test["file"])
+        entries = manifest["batches"]
+        if not isinstance(entries, list):
+            raise TensorFormatError(f"{manifest_path}: batches must be a list, got {entries!r}")
+        batches = [SessionBatch(*_split(manifest_path, f"batches[{k}]", entry, classes, shape))
+                   for k, entry in enumerate(entries)]
+        test_x, test_y = _split(manifest_path, "test", manifest["test"], classes, shape)
     except KeyError as exc:
         raise TensorFormatError(f"{manifest_path}: missing key {exc.args[0]!r}") from None
     if not len(test_y):
         raise TensorFormatError(f"{manifest_path}: the test split has no labels")
-    if test_x.shape[0] != len(test_y) or test_x.shape[1:] != shape:
-        raise TensorFormatError("test payload shape disagrees with manifest")
     params = ScenarioParams(classes=classes, pattern_shape=shape)
     return NicScenario(params, manifest.get("seed", 0), batches, test_x, test_y)
 

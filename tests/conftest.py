@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference gradient checking."""
+"""Shared test helpers: finite-difference gradient checking, and bad
+values for a saved scenario's manifest."""
 
 import numpy as np
 import pytest
@@ -66,3 +67,29 @@ def check_grad_tensor(loss_fn, arr, analytic, rng: SeededRng, n_coords=10,
 @pytest.fixture
 def rng():
     return SeededRng(1234)
+
+
+# (manifest key, bad value, the message's tail); labels stay valid
+BAD_MANIFEST_VALUES = [
+    ("pattern_shape", 5, "pattern_shape must be a non-empty list of integers >= 1, got 5"),
+    ("pattern_shape", [], "pattern_shape must be a non-empty list of integers >= 1, got []"),
+    ("pattern_shape", [1, 0, 16],
+     "pattern_shape must be a non-empty list of integers >= 1, got [1, 0, 16]"),
+    ("pattern_shape", [1, True, 16],
+     "pattern_shape must be a non-empty list of integers >= 1, got [1, True, 16]"),
+    ("batches", 5, "batches must be a list, got 5"),
+    ("batches", [5], "batches[0] must be an object, got 5"),
+    ("test", 5, "test must be an object, got 5"),
+    ("test", {"file": 5, "labels": []}, "test.file must be a string, got 5"),
+    ("batches.file", 5, "batches[1].file must be a string, got 5"),
+]
+
+
+def tamper_manifest(doc, key, value):
+    """``doc`` with ``key`` set to ``value``; ``batches.file`` is the
+    second batch's file name."""
+    if key == "batches.file":
+        doc["batches"][1]["file"] = value
+    else:
+        doc[key] = value
+    return doc

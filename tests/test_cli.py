@@ -11,6 +11,8 @@ from latentreplay.presets import tinynic_network_spec
 from latentreplay.scenario import generate_tinynic, load_dataset, ScenarioParams
 from latentreplay.tensorio import save_tensor
 
+from conftest import BAD_MANIFEST_VALUES, tamper_manifest
+
 SMALL_GEN = {
     "classes": 4, "instances_per_class": 2, "frames_per_session": 10,
     "first_batch_classes": 2, "first_batch_instances": 1,
@@ -286,6 +288,15 @@ def test_run_manifest_missing_key_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: {manifest}: missing key 'labels'"]
+
+
+@pytest.mark.parametrize("key, value, message", BAD_MANIFEST_VALUES)
+def test_run_manifest_value_of_wrong_type_exits_1(tmp_path, capsys, key, value, message):
+    manifest, doc = _saved_manifest(tmp_path, capsys)
+    manifest.write_text(json.dumps(tamper_manifest(doc, key, value)))
+    cfg = run_config(tmp_path, scenario={"manifest": str(manifest)})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {manifest}: {message}"]
 
 
 def test_run_spec_missing_key_exits_1(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from latentreplay.layers import Brn, Dense, Relu
 from latentreplay.network import Network
 from latentreplay.presets import build_tinynic_network
 from latentreplay.rng import SeededRng
+from latentreplay.scenario import ScenarioParams, generate_tinynic
 
 from conftest import check_grad_tensor
 
@@ -40,6 +43,56 @@ def test_eval_forward_is_deterministic():
     a = net.predict(x)
     b = net.predict(x)
     assert a.tobytes() == b.tobytes()
+
+
+# the reference stream's 800-row test set
+REFERENCE_TEST_X = generate_tinynic(
+    ScenarioParams(classes=10, instances_per_class=4, frames_per_session=40,
+                   first_batch_classes=4, first_batch_instances=2,
+                   test_frames_per_instance=20), seed=2024).test_x
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes numpy and Python allocated while ``fn`` ran)."""
+    fn(*args)  # warm up anything allocated once per process
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_scratch_is_bounded():
+    net = build_tinynic_network(classes=10, seed=1)
+    logits, peak = traced_peak(net.predict, REFERENCE_TEST_X)
+    assert logits.shape == (800, 10)
+    assert peak <= 4 * 2**20
+
+
+def test_tap_activations_scratch_is_output_plus_bounded():
+    net = build_tinynic_network(classes=10, seed=1)
+    x = np.concatenate([REFERENCE_TEST_X] * 4)
+    acts, peak = traced_peak(net.tap_activations, x)
+    assert acts.shape == (3200,) + net.tap_shape
+    assert peak <= acts.nbytes + 4 * 2**20
+
+
+def test_predict_bits_do_not_depend_on_rows_per_call():
+    net = build_tinynic_network(classes=10, seed=1)
+    whole = net.predict(REFERENCE_TEST_X)
+    bounds = np.cumsum([0, 1, 63, 64, 65, 607])
+    assert bounds[-1] == len(REFERENCE_TEST_X)
+    parts = [net.predict(REFERENCE_TEST_X[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert whole.dtype == np.float32
+
+
+@pytest.mark.parametrize("entry", ["predict", "tap_activations"])
+def test_eval_of_no_rows_errors(entry):
+    net = toy_net()
+    with pytest.raises(ShapeError, match="empty batch"):
+        getattr(net, entry)(np.zeros((0, 6), dtype=np.float32))
 
 
 def test_forward_from_reproduces_logits():

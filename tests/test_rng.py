@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from latentreplay.rng import SeededRng
 
@@ -96,3 +97,27 @@ def test_spawn_streams_are_independent_and_deterministic():
     assert a.seed != b.seed != r.seed
     assert SeededRng(77).spawn(1).seed == a.seed
     assert not np.array_equal(a.next_u64(16), b.next_u64(16))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3), (1, 3, 5), (1, 16, 16)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normal_rows_are_consecutive_normal_draws(shape, dtype):
+    rows = SeededRng(21).normal_rows(5, shape, dtype)
+    r = SeededRng(21)
+    single = np.stack([r.normal(shape, dtype) for _ in range(5)])
+    assert rows.dtype == dtype and rows.shape == (5,) + shape
+    assert rows.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 47, 48, 1500])
+def test_choice_is_the_stable_key_sort_prefix(n):
+    for seed in (0, 31, 2024):
+        keys = SeededRng(seed).next_u64(n + 1)
+        order = np.argsort(keys[:n], kind="stable")
+        for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+            r = SeededRng(seed)
+            idx = r.choice(n, k)
+            assert idx.dtype == order.dtype
+            assert idx.tolist() == order[:k].tolist()
+            # exactly n integers consumed, whatever k is
+            assert r.next_u64(1)[0] == keys[n]

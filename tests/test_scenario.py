@@ -13,6 +13,8 @@ from latentreplay.scenario import (MetricsRow, ScenarioParams,
                                    write_metrics_csv)
 from latentreplay.strategies import ContinualTrainer, StrategyConfig
 
+from conftest import BAD_MANIFEST_VALUES, tamper_manifest
+
 SMALL = ScenarioParams(classes=4, instances_per_class=2, frames_per_session=12,
                        first_batch_classes=2, first_batch_instances=1,
                        test_frames_per_instance=6)
@@ -26,6 +28,61 @@ def test_generation_is_deterministic_bitwise():
         assert ba.x.tobytes() == bb.x.tobytes()
         assert np.array_equal(ba.y, bb.y)
     assert a.test_x.tobytes() == b.test_x.tobytes()
+
+
+def _reference_normal(rng, shape):
+    """One ``SeededRng.normal(shape, float64)`` draw, Box-Muller written out:
+    m = ceil(n/2) integers give the radii, the next m the angles."""
+    n = int(np.prod(shape))
+    m = (n + 1) // 2
+    u1 = 1.0 - (rng.next_u64(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    u2 = (rng.next_u64(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(shape)
+
+
+def _reference_tinynic(params, seed):
+    """TinyNIC drawn one frame at a time: (training batches, test set)."""
+    rng = SeededRng(seed).spawn(0x711C)
+    shape = tuple(params.pattern_shape)
+
+    def walk(base, frames):
+        out = np.empty((frames,) + shape, dtype=np.float32)
+        w = np.zeros(shape)
+        for t in range(frames):
+            w = np.clip(w + params.step_sigma * _reference_normal(rng, shape),
+                        -params.walk_bound, params.walk_bound)
+            out[t] = (base + w).astype(np.float32)
+        return out
+
+    protos = [_reference_normal(rng, shape) for _ in range(params.classes)]
+    train, test = {}, {}
+    for c in range(params.classes):
+        for inst in range(params.instances_per_class):
+            base = protos[c] + params.instance_jitter * _reference_normal(rng, shape)
+            train[(c, inst)] = walk(base, params.frames_per_session)
+            test[(c, inst)] = walk(base, params.test_frames_per_instance)
+    first = [(c, inst) for inst in range(params.first_batch_instances)
+             for c in range(params.first_batch_classes)]
+    batches = [np.concatenate([train[k] for k in first])]
+    batches += [train[(c, inst)] for inst in range(params.instances_per_class)
+                for c in range(params.classes) if (c, inst) not in first]
+    return batches, np.concatenate([test[k] for k in sorted(test)])
+
+
+@pytest.mark.parametrize("shape", [(1, 16, 16), (1, 3, 5), (2, 4, 4)])
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_generation_equals_frame_by_frame_reference(shape, seed):
+    params = ScenarioParams(classes=4, instances_per_class=2, frames_per_session=12,
+                            first_batch_classes=2, first_batch_instances=1,
+                            test_frames_per_instance=6, pattern_shape=shape)
+    scen = generate_tinynic(params, seed)
+    batches, test_x = _reference_tinynic(params, seed)
+    assert len(scen.batches) == len(batches)
+    for got, want in zip(scen.batches, batches):
+        assert got.x.dtype == np.float32 and got.x.tobytes() == want.tobytes()
+    assert scen.test_x.tobytes() == test_x.tobytes()
 
 
 def test_different_seed_differs():
@@ -274,6 +331,34 @@ def test_manifest_without_test_labels_errors(tmp_path):
     scen.test_x, scen.test_y = scen.test_x[:0], scen.test_y[:0]
     manifest = save_scenario(scen, tmp_path / "ds")
     with pytest.raises(TensorFormatError, match="test split has no labels"):
+        load_dataset(manifest)
+
+
+@pytest.mark.parametrize("key, value, message", BAD_MANIFEST_VALUES)
+def test_manifest_value_of_wrong_type_errors(tmp_path, key, value, message):
+    manifest = save_scenario(generate_tinynic(SMALL, seed=19), tmp_path / "ds")
+    doc = tamper_manifest(json.loads(open(manifest).read()), key, value)
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(TensorFormatError) as info:
+        load_dataset(manifest)
+    assert str(info.value) == f"{manifest}: {message}"
+
+
+def test_manifest_not_an_object_errors(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]")
+    with pytest.raises(TensorFormatError, match="the manifest must be an object"):
+        load_dataset(str(manifest))
+
+
+def test_manifest_labels_not_a_list_errors(tmp_path):
+    manifest = save_scenario(generate_tinynic(SMALL, seed=20), tmp_path / "ds")
+    doc = json.loads(open(manifest).read())
+    doc["test"]["labels"] = 5
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(TensorFormatError, match="test.lrt: labels must be a list, got 5"):
         load_dataset(manifest)
 
 
