@@ -90,7 +90,8 @@ class NicScenario:
 
 def _walk_session(rng: SeededRng, base: np.ndarray, frames: int,
                   step: float, bound: float) -> np.ndarray:
-    """``frames`` frames of a walk from ``base``, clipped to +-``bound``."""
+    """``frames`` frames of ``base`` plus a random walk whose offset is
+    clipped to +-``bound`` after each ``step``-scaled normal step."""
     walk = step * rng.normal_rows(frames, base.shape, dtype=np.float64)
     w = np.zeros(base.shape, dtype=np.float64)
     for t in range(frames):

@@ -45,11 +45,13 @@ def test_eval_forward_is_deterministic():
     assert a.tobytes() == b.tobytes()
 
 
-# the reference stream's 800-row test set
-REFERENCE_TEST_X = generate_tinynic(
-    ScenarioParams(classes=10, instances_per_class=4, frames_per_session=40,
-                   first_batch_classes=4, first_batch_instances=2,
-                   test_frames_per_instance=20), seed=2024).test_x
+@pytest.fixture(scope="module")
+def ref_test_x():
+    """The reference stream's 800-row test set."""
+    return generate_tinynic(
+        ScenarioParams(classes=10, instances_per_class=4, frames_per_session=40,
+                       first_batch_classes=4, first_batch_instances=2,
+                       test_frames_per_instance=20), seed=2024).test_x
 
 
 def traced_peak(fn, *args):
@@ -63,27 +65,27 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_predict_scratch_is_bounded():
+def test_predict_scratch_is_bounded(ref_test_x):
     net = build_tinynic_network(classes=10, seed=1)
-    logits, peak = traced_peak(net.predict, REFERENCE_TEST_X)
+    logits, peak = traced_peak(net.predict, ref_test_x)
     assert logits.shape == (800, 10)
     assert peak <= 4 * 2**20
 
 
-def test_tap_activations_scratch_is_output_plus_bounded():
+def test_tap_activations_scratch_is_output_plus_bounded(ref_test_x):
     net = build_tinynic_network(classes=10, seed=1)
-    x = np.concatenate([REFERENCE_TEST_X] * 4)
+    x = np.concatenate([ref_test_x] * 4)
     acts, peak = traced_peak(net.tap_activations, x)
     assert acts.shape == (3200,) + net.tap_shape
     assert peak <= acts.nbytes + 4 * 2**20
 
 
-def test_predict_bits_do_not_depend_on_rows_per_call():
+def test_predict_bits_do_not_depend_on_rows_per_call(ref_test_x):
     net = build_tinynic_network(classes=10, seed=1)
-    whole = net.predict(REFERENCE_TEST_X)
+    whole = net.predict(ref_test_x)
     bounds = np.cumsum([0, 1, 63, 64, 65, 607])
-    assert bounds[-1] == len(REFERENCE_TEST_X)
-    parts = [net.predict(REFERENCE_TEST_X[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert bounds[-1] == len(ref_test_x)
+    parts = [net.predict(ref_test_x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
     assert whole.dtype == np.float32
 
