@@ -17,7 +17,7 @@ from latentreplay import (ReplayMemory, SeededRng, build_tinynic_network,
 
 rng = SeededRng(9)
 net = build_tinynic_network(classes=10, seed=4, tap="pool")
-net.freeze_below_tap(moments=True)
+net.freeze_below_tap()
 net.lr_mult["fc"] = 0.5  # the head, the only layer above the tap
 
 # an already-populated replay memory of older sessions (500 latent

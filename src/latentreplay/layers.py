@@ -143,6 +143,7 @@ class Brn(Layer):
     ``moments_frozen`` is set the layer is a fixed affine normalizer:
     it applies the eval formula in both modes and never updates moments,
     which keeps stored latent activations exactly reproducible.
+    ``Network.freeze_below_tap`` sets it on every BRN at or below the tap.
 
     r and d are treated as constants in backward. A moving-moment cache
     keeps the input, and backward recomputes xhat from it with the

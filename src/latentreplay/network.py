@@ -84,13 +84,13 @@ class Network:
         """Every layer at or below the tap has rate 0."""
         return all(self.lr_mult[l.name] == 0.0 for l in self.layers[:self.tap_index + 1])
 
-    def freeze_below_tap(self, moments: bool = False) -> None:
-        """Set the rate of every layer at or below the tap to 0;
-        ``moments`` also pins the BRN moving moments there."""
+    def freeze_below_tap(self) -> None:
+        """Set the rate of every layer at or below the tap to 0 and pin the
+        BRN moving moments there as they stand: the lower net is fixed."""
         for layer in self.layers[:self.tap_index + 1]:
             self.lr_mult[layer.name] = 0.0
             if isinstance(layer, Brn):
-                layer.moments_frozen = moments
+                layer.moments_frozen = True
 
     # -- forward ---------------------------------------------------------------
 

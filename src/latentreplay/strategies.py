@@ -199,7 +199,6 @@ class StrategyConfig:
     si_max_f: float = 0.001
     dslda_shrink: float = 1e-4
     sparsifier: SparsifierConfig = field(default_factory=SparsifierConfig)
-    freeze_below_tap_moments: bool = False
     store_patterns: bool = False        # keep debug refs for drift reporting
 
     def validate(self, net: Network) -> None:
@@ -225,8 +224,7 @@ class StrategyConfig:
         if self.si_xi == 0:
             raise ConfigError("si_xi must be > 0, got 0")
         require_finite("dslda_shrink", self.dslda_shrink, maximum=1)
-        for name in ("freeze_below_tap_moments", "store_patterns"):
-            require_bool(name, getattr(self, name))
+        require_bool("store_patterns", self.store_patterns)
 
 
 @dataclass
@@ -277,7 +275,7 @@ class ContinualTrainer:
         net.lr_mult.update(dict.fromkeys(net.lr_mult, cfg.lr_other))
         net.lr_mult[net.head_name] = cfg.lr_head
         if cfg.replay_kind == "latent" or cfg.strategy == "cwr*":
-            net.freeze_below_tap(moments=cfg.freeze_below_tap_moments)
+            net.freeze_below_tap()
 
     def _mask_head_grads(self, grads: dict, classes) -> None:
         g = grads.get(self.net.head_name)

@@ -118,7 +118,7 @@ def test_criterion_4_latent_native_equivalence():
     net_lat = _three_layer_toy(seed=42)
     net_nat = _three_layer_toy(seed=42)
     for net in (net_lat, net_nat):
-        net.freeze_below_tap(moments=True)
+        net.freeze_below_tap()
         net.lr_mult.update(brn_up=0.05, head=0.05)
     latents = net_lat.tap_activations(rep_x)
 

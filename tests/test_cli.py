@@ -215,7 +215,6 @@ def test_run_invalid_json(tmp_path):
                                  {"config": {"record_timing": "false"}},
                                  {"config": {"track_drift": 0}},
                                  {"config": {"include_cumulative": "true"}},
-                                 {"freeze_below_tap_moments": "false"},
                                  {"sparsifier": 5}, {"si_xi": 0}, {"dslda_shrink": -1},
                                  {"config": {"scenario": 5}}, {"config": {"network": 5}},
                                  {"config": {"strategies": 5}},
@@ -239,6 +238,21 @@ def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_run_strategy_block_with_removed_moments_switch_exits_1(tmp_path):
+    """Freezing below the tap always pins the BRN moments; the old switch
+    for it is an unknown key, not silently ignored."""
+    cfg = run_config(tmp_path, strategies=[{
+        "name": "x", "strategy": "ar1*free", "replay_kind": "latent", "rm_capacity": 20,
+        "epochs": 1, "mb": 16, "freeze_below_tap_moments": True}])
+    proc = subprocess.run(
+        [sys.executable, "-m", "latentreplay", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "o")], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: unknown key(s) in strategy block")
+    assert "freeze_below_tap_moments" in proc.stderr
 
 
 def _saved_manifest(tmp_path, capsys):

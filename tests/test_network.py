@@ -7,7 +7,7 @@ from latentreplay.errors import ConfigError, ShapeError, StateError
 from latentreplay.kernels import softmax_xent
 from latentreplay.layers import Brn, Dense, Relu
 from latentreplay.network import Network
-from latentreplay.presets import build_tinynic_network
+from latentreplay.presets import TINYNIC_TAPS, build_tinynic_network
 from latentreplay.rng import SeededRng
 from latentreplay.scenario import ScenarioParams, generate_tinynic
 
@@ -108,11 +108,27 @@ def test_forward_from_reproduces_logits():
 def test_stored_latent_equals_input_fed_when_frozen():
     net = build_tinynic_network(classes=10, seed=5)
     x = SeededRng(6).normal((4, 1, 16, 16))
-    net.freeze_below_tap(moments=True)
+    net.freeze_below_tap()
     stored = net.tap_activations(x)
     direct = net.predict(x)
     via_latent = net.forward_from(stored, mode="eval")
     assert np.abs(via_latent - direct).max() < 1e-5
+
+
+@pytest.mark.parametrize("tap", TINYNIC_TAPS)
+def test_frozen_train_forward_taps_the_bits_of_eval(tap):
+    """Once frozen, the lower net is one fixed function: a train-mode pass
+    reaches the tap with the bits of an eval-mode one, so stored latents
+    are what the native rows would give today."""
+    net = build_tinynic_network(classes=6, seed=5, width=4, tap=tap, avg_rate=0.9)
+    r = SeededRng(11)
+    for _ in range(3):
+        net.forward(r.normal((8,) + net.input_shape))
+    assert not np.array_equal(net.layer("brn1").mu_mov, 0.0)
+    net.freeze_below_tap()
+    x = r.normal((8,) + net.input_shape)
+    trained = net.forward(x)[1]
+    assert np.array_equal(trained.view(np.uint32), net.tap_activations(x).view(np.uint32))
 
 
 def test_zero_latent_through_relu_dense_gives_bias():
@@ -167,18 +183,21 @@ def test_forward_and_forward_from_empty_batch_errors(entry, width):
 def test_frozen_lower_part_records_only_what_backward_walks():
     trainable = build_tinynic_network(classes=6, seed=5, width=4, tap="relu3")
     frozen = build_tinynic_network(classes=6, seed=5, width=4, tap="relu3")
-    frozen.freeze_below_tap()  # BRN moments below the tap stay live
+    for net in (trainable, frozen):
+        net.freeze_below_tap()  # rate 0 and pinned BRN moments
+    trainable.lr_mult.update(dict.fromkeys(trainable.lr_mult, 0.01))  # same function, trains
     r = SeededRng(10)
     x, lat = r.normal((3,) + frozen.input_shape), r.normal((5,) + frozen.tap_shape)
-    mu_before = frozen.layer("brn1").mu_mov.copy()
+    brn1 = frozen.layer("brn1")
+    mu_before, sigma_before = brn1.mu_mov.copy(), brn1.sigma_mov.copy()
     grads = {}
     for name, net in (("trainable", trainable), ("frozen", frozen)):
         logits, _ = net.forward_concat(x, lat)
         _, dl = softmax_xent(logits, np.arange(8) % 6)
         grads[name] = net.backward(dl)
     assert frozen._ctx["below"] == [] and trainable._ctx["below"]
-    assert not np.array_equal(frozen.layer("brn1").mu_mov, mu_before)
-    assert np.array_equal(frozen.layer("brn1").mu_mov, trainable.layer("brn1").mu_mov)
+    assert np.array_equal(brn1.mu_mov.view(np.uint64), mu_before.view(np.uint64))
+    assert np.array_equal(brn1.sigma_mov.view(np.uint64), sigma_before.view(np.uint64))
     above = {l.name for l in frozen.layers[frozen.tap_index + 1:]}
     assert_same_grads(grads["frozen"],
                       {k: g for k, g in grads["trainable"].items() if k in above})
@@ -499,7 +518,7 @@ def test_short_latent_equivalence():
     net_a = toy_net(seed=27)
     net_b = toy_net(seed=27)
     for net in (net_a, net_b):
-        net.freeze_below_tap(moments=True)
+        net.freeze_below_tap()
         net.lr_mult.update(brn2=0.05, head=0.05)
     latents = net_a.tap_activations(replay_pat)
 

@@ -270,7 +270,7 @@ def test_compose_with_replacement_fallback_warns():
 
 def test_precompute_latents_matches_forward_tap():
     net = build_tinynic_network(classes=10, seed=16)
-    net.freeze_below_tap(moments=True)
+    net.freeze_below_tap()
     frames = SeededRng(17).normal((7, 1, 16, 16))
     lats = precompute_latents(net, frames)
     assert len(lats) == 7
@@ -281,7 +281,7 @@ def test_precompute_latents_matches_forward_tap():
 
 def test_precompute_latents_order_and_determinism():
     net = build_tinynic_network(classes=10, seed=18)
-    net.freeze_below_tap(moments=True)
+    net.freeze_below_tap()
     frame = SeededRng(19).normal((1, 16, 16))
     lats = precompute_latents(net, [frame, frame, frame])
     assert np.array_equal(lats[0], lats[1])
@@ -304,7 +304,7 @@ def test_precompute_worker_thread_feeds_head_training():
     from latentreplay.kernels import softmax_xent
 
     net = build_tinynic_network(classes=10, seed=35, tap="pool")
-    net.freeze_below_tap(moments=True)
+    net.freeze_below_tap()
     frames = SeededRng(36).normal((40, 1, 16, 16))
     labels = np.arange(40) % 10
     q: queue.Queue = queue.Queue()
@@ -333,7 +333,7 @@ def test_precompute_worker_thread_feeds_head_training():
     assert len(got) == 40
     # lower part untouched by the interleaved head updates
     ref = build_tinynic_network(classes=10, seed=35, tap="pool")
-    ref.freeze_below_tap(moments=True)
+    ref.freeze_below_tap()
     want = ref.tap_activations(frames)
     assert np.array_equal(np.stack(got), want)
 
@@ -399,7 +399,7 @@ def _latent_memory_with_refs(net, n=12, seed=25):
 
 def test_drift_zero_when_fully_frozen():
     net = build_tinynic_network(classes=10, seed=26)
-    net.freeze_below_tap(moments=True)
+    net.freeze_below_tap()
     rm, _ = _latent_memory_with_refs(net)
     assert aging_drift(rm, net) == 0.0
 

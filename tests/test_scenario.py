@@ -222,8 +222,7 @@ def test_run_protocol_reports_drift_when_latent_memory_keeps_patterns(store_patt
     drifts = [r.drift for r in run_protocol(net, cfg, scen, seed=0)]
     assert len(drifts) == len(scen.batches)
     if store_patterns:
-        assert all(d is not None and d >= 0.0 for d in drifts)
-        assert max(drifts) > 0.0  # the lower BRN moments move
+        assert drifts == [0.0] * len(scen.batches)  # the lower net is pinned
     else:
         assert drifts == [None] * len(scen.batches)
 
