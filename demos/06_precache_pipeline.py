@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from latentreplay import (ReplayMemory, SeededRng, build_tinynic_network,
-                          compose_minibatch, precompute_latents, softmax_xent)
+                          compose_minibatch, softmax_xent)
 
 rng = SeededRng(9)
 net = build_tinynic_network(classes=10, seed=4, tap="pool")
@@ -22,7 +22,7 @@ net.lr_mult["fc"] = 0.5  # the head, the only layer above the tap
 
 # an already-populated replay memory of older sessions (500 latent
 # patterns of classes 0..8, each class around its own prototype)
-rm = ReplayMemory(500, SeededRng(10), kind="latent", tap="pool")
+rm = ReplayMemory(500, SeededRng(10), kind="latent")
 old_y = rng.randint(0, 9, 500)
 protos = rng.normal((9, 1, 16, 16))
 old = (protos[old_y] + 0.3 * rng.normal((500, 1, 16, 16))).astype(np.float32)
@@ -33,8 +33,8 @@ new_frames = rng.normal((100, 1, 16, 16)) + 1.5
 frame_q: queue.Queue = queue.Queue()
 
 def acquire():
-    for lat in precompute_latents(net, new_frames):
-        frame_q.put(lat)
+    for frame in new_frames:  # the frozen lower net, one frame as it arrives
+        frame_q.put(net.tap_activations(frame[None])[0])
     frame_q.put(None)
 
 t0 = time.time()

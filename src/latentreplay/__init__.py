@@ -13,9 +13,8 @@ from .errors import ConfigError, ShapeError, StateError, TensorFormatError
 from .kernels import conv2d, global_avg_pool, matmul, softmax_xent
 from .network import Network
 from .presets import build_tinynic_network, tinynic_network_spec
-from .replay import (ReplayMemory, SparsifierConfig, aging_drift,
-                     compose_minibatch, l1_activation_penalty,
-                     precompute_latents, sparsity_stats)
+from .replay import (ReplayMemory, SparsifierConfig, compose_minibatch,
+                     l1_activation_penalty, sparsity_stats)
 from .rng import SeededRng
 from .scenario import (MetricsRow, NicScenario, ScenarioParams,
                        cumulative_baseline, generate_tinynic, load_dataset,
@@ -30,12 +29,11 @@ __all__ = [
     "BatchReport", "ConfigError", "ContinualTrainer", "CwrHead", "DsldaState",
     "LayerCostTable", "MetricsRow", "Network", "NicScenario", "ReplayMemory",
     "ScenarioParams", "SeededRng", "ShapeError", "SiState", "SparsifierConfig",
-    "StateError", "StrategyConfig", "TensorFormatError", "aging_drift",
-    "build_tinynic_network", "bundled_cost_table", "compose_minibatch",
-    "computation_pct", "conv2d", "cumulative_baseline",
-    "generate_tinynic", "global_avg_pool", "l1_activation_penalty",
-    "load_dataset", "load_tensor", "matmul", "memory_footprint",
-    "pattern_size", "precompute_latents", "run_protocol", "save_scenario",
+    "StateError", "StrategyConfig", "TensorFormatError", "build_tinynic_network",
+    "bundled_cost_table", "compose_minibatch", "computation_pct", "conv2d",
+    "cumulative_baseline", "generate_tinynic", "global_avg_pool",
+    "l1_activation_penalty", "load_dataset", "load_tensor", "matmul",
+    "memory_footprint", "pattern_size", "run_protocol", "save_scenario",
     "save_tensor", "softmax_xent", "sparsity_stats", "tinynic_network_spec",
     "tradeoff_table", "write_metrics_csv",
 ]

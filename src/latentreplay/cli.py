@@ -7,7 +7,7 @@ Subcommands:
 
 stdout carries data, stderr carries diagnostics. Exit codes: 0 success,
 1 config error, 2 runtime error. Jobs run on one thread per CPU. A block's
-"tap" picks its network's tap; "track_drift" makes latent memories report drift.
+"tap" picks its network's tap.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from .strategies import StrategyConfig
 
 _RUN_KEYS = {"scenario", "network", "strategies", "seeds", "include_cumulative",
              "cumulative_epochs", "cumulative_mb", "cumulative_lr", "eval_every",
-             "record_timing", "track_drift", "output_dir"}
+             "record_timing", "output_dir"}
 _SCENARIO_KEYS = {"generator", "manifest"}
 _NETWORK_KEYS = {"builtin", "tap", "width", "avg_rate", "spec_path"}
-_SPARSIFIER_KEYS = {"alpha", "first_batch_only"}
+_SPARSIFIER_KEYS = {"alpha"}
 _STRATEGY_EXTRA = {"name", "sparsifier", "tap"}
 
 
@@ -119,8 +119,7 @@ class ExperimentConfig:
         require_finite("cumulative_lr", self.cumulative_lr)
         require_int("eval_every", self.eval_every, 1)
         self.record_timing = doc.get("record_timing", True)
-        self.track_drift = doc.get("track_drift", False)
-        for name in ("include_cumulative", "record_timing", "track_drift"):
+        for name in ("include_cumulative", "record_timing"):
             require_bool(name, getattr(self, name))
         self.output_dir = doc.get("output_dir")
         if self.output_dir is not None:
@@ -161,15 +160,13 @@ def _load_json(path):
 
 
 def _prepare(cfg: ExperimentConfig, scenario: NicScenario, tap: str | None,
-             strat: StrategyConfig, seed: int) -> tuple[Network, StrategyConfig]:
+             strat: StrategyConfig, seed: int) -> Network:
     """Build a block's network, tapped at ``tap``, and check the block against it."""
     if strat.strategy in ("cwr*", "dslda") and tap is None:
         tap = "pool"
     net = cfg.build_network(scenario.classes, seed, tap=tap)
-    if cfg.track_drift and strat.replay_kind == "latent":
-        strat = dataclasses.replace(strat, store_patterns=True)  # drift needs the patterns
     strat.validate(net)
-    return net, strat
+    return net
 
 
 def cmd_run(args) -> int:
@@ -183,7 +180,7 @@ def cmd_run(args) -> int:
 
     scenario = cfg.load_scenario()
     # every block is checked before the first one trains
-    jobs = {(name, seed): _prepare(cfg, scenario, tap, strat, seed)
+    jobs = {(name, seed): (_prepare(cfg, scenario, tap, strat, seed), strat)
             for name, tap, strat in cfg.strategies for seed in seeds}
     workers = max(1, min(len(jobs), os.cpu_count() or 1))
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

@@ -24,17 +24,6 @@ class Layer:
         self.name = name
         self.params: dict[str, np.ndarray] = {}
 
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        """Tensors to checkpoint: parameters plus non-learnable state."""
-        return dict(self.params)
-
-    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        for key, arr in self.state_tensors().items():
-            src = tensors[key]
-            if src.shape != arr.shape:
-                raise ShapeError(f"{self.name}.{key}: shape {src.shape} != {arr.shape}")
-            arr[...] = src
-
     def out_shape(self, in_shape: tuple) -> tuple:
         raise NotImplementedError
 
@@ -175,21 +164,6 @@ class Brn(Layer):
         }
         self.mu_mov = np.zeros(channels, dtype=np.float64)
         self.sigma_mov = np.ones(channels, dtype=np.float64)
-
-    def state_tensors(self):
-        out = dict(self.params)
-        out["mu_mov"] = self.mu_mov.astype(np.float32)
-        out["sigma_mov"] = self.sigma_mov.astype(np.float32)
-        return out
-
-    def load_state(self, tensors):
-        for key in ("gamma", "beta", "mu_mov", "sigma_mov"):
-            if tensors[key].shape != (self.channels,):
-                raise ShapeError(f"{self.name}: {key} shape {tensors[key].shape}")
-        self.params["gamma"][...] = tensors["gamma"]
-        self.params["beta"][...] = tensors["beta"]
-        self.mu_mov = tensors["mu_mov"].astype(np.float64)
-        self.sigma_mov = tensors["sigma_mov"].astype(np.float64)
 
     def out_shape(self, in_shape):
         c = in_shape[0] if len(in_shape) == 3 else in_shape[-1]

@@ -9,8 +9,6 @@ lower part entirely when it is frozen.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, require_finite
@@ -273,20 +271,3 @@ class Network:
                 raise ConfigError(f"unknown layer kind {kind!r}")
             cur = layers[-1].out_shape(cur)
         return Network(layers, input_shape, doc["tap"], doc.get("head"))
-
-    def save_checkpoint(self, directory) -> None:
-        from .tensorio import save_tensor
-        os.makedirs(directory, exist_ok=True)
-        for layer in self.layers:
-            for key, arr in layer.state_tensors().items():
-                fname = f"{layer.name.replace('/', '__')}.{key}.lrt"
-                save_tensor(os.path.join(directory, fname), arr)
-
-    def load_checkpoint(self, directory) -> None:
-        from .tensorio import load_tensor
-        for layer in self.layers:
-            tensors = {}
-            for key in layer.state_tensors():
-                fname = f"{layer.name.replace('/', '__')}.{key}.lrt"
-                tensors[key] = load_tensor(os.path.join(directory, fname))
-            layer.load_state(tensors)

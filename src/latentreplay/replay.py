@@ -10,59 +10,47 @@ balancing is enforced.
 
 from __future__ import annotations
 
-import json
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError, require_bool, require_finite
+from .errors import ConfigError, ShapeError, StateError, require_finite
 from .rng import SeededRng
-from .tensorio import load_tensor, save_tensor
 
 
 @dataclass
 class SparsifierConfig:
-    """L1 attraction of the tap activations toward zero."""
+    """L1 attraction of the tap activations toward zero, during the
+    first batch only."""
 
     alpha: float = 0.0
-    first_batch_only: bool = True
 
     def __post_init__(self):
         require_finite("alpha", self.alpha)
-        require_bool("first_batch_only", self.first_batch_only)
 
     def active(self, batch_index: int) -> bool:
-        if self.alpha == 0.0:
-            return False
-        return batch_index == 1 if self.first_batch_only else True
+        return self.alpha != 0.0 and batch_index == 1
 
 
 class ReplayMemory:
     """External memory of (payload, label, origin batch) items, one row
     each in parallel arrays, oldest first: ``payloads`` (float32),
-    ``labels`` and ``origins`` (int64), and the source ``patterns``
-    (float32) for aging drift, None unless ``store_patterns``. Survivors of
-    a replacement keep their order, so sampled indices (and the RNG
-    stream) mean what they meant for a list of items."""
+    ``labels`` and ``origins`` (int64). Survivors of a replacement keep
+    their order, so sampled indices (and the RNG stream) mean what they
+    meant for a list of items."""
 
-    def __init__(self, capacity: int, rng: SeededRng, kind: str = "native",
-                 tap: str | None = None, store_patterns: bool = False):
+    def __init__(self, capacity: int, rng: SeededRng, kind: str = "native"):
         if kind not in ("native", "latent"):
             raise ConfigError(f"kind must be 'native' or 'latent', got {kind!r}")
-        if kind == "latent" and tap is None:
-            raise ConfigError("latent memory needs the tap layer name")
         if capacity < 0:
             raise ConfigError("capacity must be >= 0")
         self.kind = kind
-        self.tap = tap
         self.capacity = int(capacity)
         self.rng = rng
         self.payloads = np.zeros(0, dtype=np.float32)
         self.labels = np.zeros(0, dtype=np.int64)
         self.origins = np.zeros(0, dtype=np.int64)
-        self.patterns = np.zeros(0, dtype=np.float32) if store_patterns else None
         self._last_i = 0
 
     def __len__(self) -> int:
@@ -98,8 +86,6 @@ class ReplayMemory:
         self.payloads = _keep_then_append(self.payloads, keep, payloads)
         self.labels = _keep_then_append(self.labels, keep, labels[add_idx])
         self.origins = _keep_then_append(self.origins, keep, np.full(h, i))
-        if self.patterns is not None:
-            self.patterns = _keep_then_append(self.patterns, keep, patterns[add_idx])
         if len(self) > self.capacity:
             raise StateError("replay memory exceeded capacity")  # pragma: no cover
         return h, replace_n
@@ -119,45 +105,6 @@ class ReplayMemory:
     def occupancy_by_origin(self) -> dict[int, int]:
         origins, counts = np.unique(self.origins, return_counts=True)
         return dict(zip(origins.tolist(), counts.tolist()))
-
-    # -- checkpoint ----------------------------------------------------------
-
-    def save(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
-        manifest = {
-            "kind": self.kind,
-            "tap": self.tap,
-            "capacity": self.capacity,
-            "count": len(self),
-            "labels": self.labels.tolist(),
-            "origin_batches": self.origins.tolist(),
-            "last_batch": self._last_i,
-        }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        if len(self):
-            save_tensor(os.path.join(directory, "payloads.lrt"), self.payloads)
-
-    @staticmethod
-    def load(directory, rng: SeededRng) -> "ReplayMemory":
-        with open(os.path.join(directory, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        rm = ReplayMemory(manifest["capacity"], rng, manifest["kind"], manifest["tap"])
-        rm._last_i = manifest["last_batch"]
-        count = manifest["count"]
-        if count > rm.capacity:
-            raise ShapeError(f"manifest count {count} exceeds capacity {rm.capacity}")
-        for key in ("labels", "origin_batches"):
-            if len(manifest[key]) != count:
-                raise ShapeError(f"manifest has {len(manifest[key])} {key} for {count} items")
-        if count:
-            payloads = load_tensor(os.path.join(directory, "payloads.lrt"))
-            if len(payloads) != count:
-                raise ShapeError("payload count differs from manifest")
-            rm.payloads = payloads
-            rm.labels = np.array(manifest["labels"], dtype=np.int64)
-            rm.origins = np.array(manifest["origin_batches"], dtype=np.int64)
-        return rm
 
 
 def _keep_then_append(stored: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
@@ -183,21 +130,6 @@ def compose_minibatch(rm: ReplayMemory, batch_size: int, mb: int,
     return n_native, n_replay, idx
 
 
-def precompute_latents(net, frames) -> list[np.ndarray]:
-    """Tap activations for a stream of frames, in arrival order.
-
-    The lower sub-network must be frozen: cached activations would
-    otherwise age while the stream is still being acquired.
-    """
-    if not net.frozen_below_tap:
-        raise StateError("lower layers must be frozen before pre-caching latents")
-    out = []
-    for frame in frames:
-        batch = frame[None] if frame.ndim == len(net.input_shape) else frame
-        out.append(net.tap_activations(batch)[0])
-    return out
-
-
 def l1_activation_penalty(acts: np.ndarray, alpha: float):
     """alpha * sum |a| and its (sub)gradient alpha * sign(a)."""
     if alpha < 0:
@@ -213,22 +145,3 @@ def sparsity_stats(acts: np.ndarray) -> float:
     if acts.size == 0:
         return 0.0
     return float(np.count_nonzero(acts) / acts.size)
-
-
-def aging_drift(rm: ReplayMemory, net, eps: float = 1e-8) -> float:
-    """Mean relative L2 distance between stored latents and the
-    activations their source patterns produce through the current net."""
-    if rm.kind != "latent":
-        raise StateError("aging drift is defined for latent memories")
-    if not len(rm):
-        return 0.0
-    if rm.patterns is None:
-        raise StateError("drift needs debug pattern back-references "
-                         "(store_patterns=True)")
-    fresh = net.tap_activations(rm.patterns)
-    total = 0.0
-    for stored, now in zip(rm.payloads, fresh):
-        num = float(np.linalg.norm((stored - now).astype(np.float64).ravel()))
-        den = float(np.linalg.norm(now.astype(np.float64).ravel()))
-        total += num / (den + eps)
-    return total / len(rm)

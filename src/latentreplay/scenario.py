@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, TensorFormatError, require_finite, require_int
 from .network import Network
-from .replay import aging_drift
 from .rng import SeededRng
 from .strategies import ContinualTrainer, StrategyConfig
 from .tensorio import load_tensor, save_tensor
@@ -147,7 +146,6 @@ class MetricsRow:
     test_accuracy: float
     train_ms: float
     rm_items: int
-    drift: float | None = None  # once a latent memory keeping patterns has items
 
 
 def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenario,
@@ -171,14 +169,10 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
         if k % eval_every and k != n:
             continue
         acc = trainer.accuracy(scenario.test_x, scenario.test_y)
-        drift = None
-        if rm is not None and rm.kind == "latent" and rm.patterns is not None and len(rm):
-            drift = aging_drift(rm, net)
         rows.append(MetricsRow(
             batch_index=k, test_accuracy=acc,
             train_ms=report.train_ms if record_timing else 0.0,
-            rm_items=len(rm) if rm is not None else 0,
-            drift=drift))
+            rm_items=len(rm) if rm is not None else 0))
     return rows
 
 
@@ -282,8 +276,7 @@ def load_dataset(manifest_path) -> NicScenario:
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:
     """Fixed-format CSV (byte-stable for identical rows)."""
     with open(path, "w", newline="") as fh:
-        fh.write("batch,accuracy,train_ms,rm_items,drift\n")
+        fh.write("batch,accuracy,train_ms,rm_items\n")
         for r in rows:
-            drift = "" if r.drift is None else f"{r.drift:.6e}"
             fh.write(f"{r.batch_index},{r.test_accuracy:.6f},"
-                     f"{r.train_ms:.3f},{r.rm_items},{drift}\n")
+                     f"{r.train_ms:.3f},{r.rm_items}\n")

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, ShapeError, StateError, require_bool, require_finite,
-                     require_int)
+from .errors import ConfigError, ShapeError, StateError, require_finite, require_int
 from .kernels import softmax_xent
 from .network import Network
 from .replay import (ReplayMemory, SparsifierConfig, compose_minibatch,
@@ -199,7 +198,6 @@ class StrategyConfig:
     si_max_f: float = 0.001
     dslda_shrink: float = 1e-4
     sparsifier: SparsifierConfig = field(default_factory=SparsifierConfig)
-    store_patterns: bool = False        # keep debug refs for drift reporting
 
     def validate(self, net: Network) -> None:
         if self.strategy not in STRATEGIES:
@@ -224,7 +222,6 @@ class StrategyConfig:
         if self.si_xi == 0:
             raise ConfigError("si_xi must be > 0, got 0")
         require_finite("dslda_shrink", self.dslda_shrink, maximum=1)
-        require_bool("store_patterns", self.store_patterns)
 
 
 @dataclass
@@ -249,8 +246,7 @@ class ContinualTrainer:
         self.rm: ReplayMemory | None = None
         if cfg.replay_kind is not None:
             self.rm = ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E),
-                                   kind=cfg.replay_kind, tap=net.tap,
-                                   store_patterns=cfg.store_patterns)
+                                   kind=cfg.replay_kind)
         head = net.layer(net.head_name)
         self.cwr = None
         if cfg.strategy in HEAD_MANAGED:

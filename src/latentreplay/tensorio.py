@@ -2,7 +2,7 @@
 
 A tensor file is the little-endian byte string
 ``b"LRT1" | u32 rank | u32 extents[rank] | f32 payload (row-major)``.
-Dataset batches, checkpoints, and replay-memory payloads all use it.
+Saved scenarios use it for their batches and test split.
 """
 
 from __future__ import annotations

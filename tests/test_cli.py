@@ -213,7 +213,6 @@ def test_run_invalid_json(tmp_path):
                                  {"config": {"network": {"builtin": "tinynic",
                                                          "avg_rate": 1.5}}},
                                  {"config": {"record_timing": "false"}},
-                                 {"config": {"track_drift": 0}},
                                  {"config": {"include_cumulative": "true"}},
                                  {"sparsifier": 5}, {"si_xi": 0}, {"dslda_shrink": -1},
                                  {"config": {"scenario": 5}}, {"config": {"network": 5}},
@@ -225,7 +224,8 @@ def test_run_invalid_json(tmp_path):
                                  {"config": {"scenario": {"generator": dict(
                                      SMALL_GEN, pattern_shape="ab")}}},
                                  {"config": {"scenario": {"generator": dict(
-                                     SMALL_GEN, pattern_shape=[1, 8, 8])}}}])
+                                     SMALL_GEN, pattern_shape=[1, 8, 8])}}},
+                                 {"sparsifier": {"alpha": -1.0}}])
 def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     """A bad strategy-block value, or a bad top-level one under "config"."""
     bad = dict(bad)
@@ -240,19 +240,29 @@ def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     assert "Traceback" not in proc.stderr
 
 
-def test_run_strategy_block_with_removed_moments_switch_exits_1(tmp_path):
-    """Freezing below the tap always pins the BRN moments; the old switch
-    for it is an unknown key, not silently ignored."""
-    cfg = run_config(tmp_path, strategies=[{
-        "name": "x", "strategy": "ar1*free", "replay_kind": "latent", "rm_capacity": 20,
-        "epochs": 1, "mb": 16, "freeze_below_tap_moments": True}])
+@pytest.mark.parametrize("key, where", [
+    ("freeze_below_tap_moments", "strategy block"), ("store_patterns", "strategy block"),
+    ("first_batch_only", "sparsifier block"), ("track_drift", "config")],
+    ids=["freeze_below_tap_moments", "store_patterns", "first_batch_only", "track_drift"])
+def test_run_config_with_removed_key_exits_1(tmp_path, key, where):
+    """Keys whose mechanism is gone are unknown keys, not silently ignored:
+    freezing below the tap always pins the BRN moments, aging drift and the
+    patterns it kept are deleted, and the sparsifier acts on batch 1 only."""
+    block = {"name": "x", "strategy": "ar1*free", "replay_kind": "latent", "rm_capacity": 20,
+             "epochs": 1, "mb": 16}
+    top = {}
+    if where == "strategy block":
+        block[key] = True
+    elif where == "sparsifier block":
+        block["sparsifier"] = {"alpha": 1e-3, key: True}
+    else:
+        top[key] = True
+    cfg = run_config(tmp_path, strategies=[block], **top)
     proc = subprocess.run(
         [sys.executable, "-m", "latentreplay", "run", "--config", str(cfg),
          "--out", str(tmp_path / "o")], capture_output=True, text=True)
     assert proc.returncode == 1
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: unknown key(s) in strategy block")
-    assert "freeze_below_tap_moments" in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: unknown key(s) in {where}: [{key!r}]"]
 
 
 def _saved_manifest(tmp_path, capsys):
@@ -353,7 +363,7 @@ def test_run_spec_path_matches_builtin_and_honours_block_tap(tmp_path):
         assert (outs["spec"] / name).read_bytes() == (outs["builtin"] / name).read_bytes()
     cfg = cli.ExperimentConfig(json.loads(cfg.read_text()), base_dir=str(tmp_path))
     scenario = cfg.load_scenario()
-    taps = [cli._prepare(cfg, scenario, tap, strat, 0)[0].tap
+    taps = [cli._prepare(cfg, scenario, tap, strat, 0).tap
             for _, tap, strat in cfg.strategies]
     assert taps == ["relu3", "pool"]
 
@@ -417,10 +427,10 @@ def test_run_pooled_jobs_match_single_runs(tmp_path):
     blocks = [{"name": "naive", "strategy": "naive", "epochs": 1, "mb": 16},
               {"name": "latent", "strategy": "ar1*free", "replay_kind": "latent",
                "rm_capacity": 20, "epochs": 1, "mb": 16}]
-    cfg = run_config(tmp_path, strategies=blocks, seeds=[1, 2], track_drift=True)
+    cfg = run_config(tmp_path, strategies=blocks, seeds=[1, 2])
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 0
     for block in blocks:
-        one = run_config(tmp_path, strategies=[block], seeds=[1, 2], track_drift=True)
+        one = run_config(tmp_path, strategies=[block], seeds=[1, 2])
         for seed in (1, 2):
             out = tmp_path / f"{block['name']}{seed}"
             assert main(["run", "--config", str(one), "--seed", str(seed),

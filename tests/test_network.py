@@ -461,27 +461,6 @@ def test_every_layer_backward_matches_finite_differences(rng):
                               label=f"{lname}.{pname}")
 
 
-def test_checkpoint_round_trip(tmp_path):
-    net = build_tinynic_network(classes=5, seed=22, width=4)
-    x = SeededRng(23).normal((3, 1, 16, 16))
-    want = net.predict(x)
-    net.save_checkpoint(tmp_path / "ckpt")
-
-    other = build_tinynic_network(classes=5, seed=99, width=4)
-    assert not np.allclose(other.predict(x), want)
-    other.load_checkpoint(tmp_path / "ckpt")
-    assert np.array_equal(other.predict(x), want)
-
-
-@pytest.mark.parametrize("key", ["gamma", "beta", "mu_mov", "sigma_mov"])
-def test_brn_load_state_checks_every_tensor_shape(key):
-    layer = Brn("brn1", 4)
-    tensors = layer.state_tensors()
-    tensors[key] = np.zeros(1, dtype=np.float32)
-    with pytest.raises(ShapeError, match=key):
-        layer.load_state(tensors)
-
-
 def test_duplicate_layer_names_rejected():
     with pytest.raises(ConfigError):
         Network([Dense("a", 2, 2), Dense("a", 2, 2)], input_shape=(2,), tap="a")

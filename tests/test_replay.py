@@ -1,17 +1,14 @@
-import json
-
 import numpy as np
 import pytest
 
 from latentreplay.accounting import memory_footprint
-from latentreplay.errors import ConfigError, ShapeError, StateError
-from latentreplay.layers import Brn
+from latentreplay.errors import ConfigError, StateError
 from latentreplay.presets import build_tinynic_network
-from latentreplay.replay import (ReplayMemory, SparsifierConfig, aging_drift,
-                                 compose_minibatch, l1_activation_penalty,
-                                 precompute_latents, sparsity_stats)
+from latentreplay.replay import (ReplayMemory, SparsifierConfig, compose_minibatch,
+                                 l1_activation_penalty, sparsity_stats)
 from latentreplay.rng import SeededRng
-from latentreplay.tensorio import save_tensor
+from latentreplay.scenario import ScenarioParams, generate_tinynic
+from latentreplay.strategies import ContinualTrainer, StrategyConfig
 
 from conftest import check_grad_tensor
 
@@ -103,7 +100,7 @@ def test_origin_batch_occupancy_roughly_balanced():
 
 
 def test_latent_payloads_via_payload_fn():
-    rm = ReplayMemory(8, SeededRng(3), kind="latent", tap="relu3")
+    rm = ReplayMemory(8, SeededRng(3), kind="latent")
     x, y = make_batch(10)
     calls = {}
 
@@ -120,50 +117,18 @@ def test_latent_payloads_via_payload_fn():
 
 
 def test_payload_footprint():
-    rm = ReplayMemory(6, SeededRng(4), kind="latent", tap="t")
+    rm = ReplayMemory(6, SeededRng(4), kind="latent")
     x = SeededRng(5).normal((9, 2, 3))
     rm.update(x, np.arange(9), 1)
     assert rm.payloads.size == len(rm) * 6
     assert rm.payloads.nbytes == memory_footprint(len(rm), 6, bytes_per_elem=4)
 
 
-def test_memory_checkpoint_round_trip(tmp_path):
-    rm, _ = fill_memory(50, [60, 60, 60], seed=9)
-    rm.save(tmp_path / "rm")
-    back = ReplayMemory.load(tmp_path / "rm", SeededRng(0))
-    assert back.capacity == rm.capacity
-    assert len(back) == len(rm)
-    for a, b in zip(zip(rm.payloads, rm.labels, rm.origins),
-                    zip(back.payloads, back.labels, back.origins)):
-        assert np.array_equal(a[0], b[0])
-        assert a[1] == b[1] and a[2] == b[2]
-
-
-@pytest.mark.parametrize("tamper", ["short_labels", "short_origins", "over_capacity",
-                                    "short_payloads"])
-def test_memory_load_rejects_manifest_that_disagrees(tmp_path, tamper):
-    rm, _ = fill_memory(50, [60, 60], seed=9)
-    rm.save(tmp_path / "rm")
-    path = tmp_path / "rm" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    if tamper == "short_labels":
-        manifest["labels"].pop()
-    elif tamper == "short_origins":
-        manifest["origin_batches"].pop()
-    elif tamper == "over_capacity":
-        manifest["capacity"] = manifest["count"] - 1
-    else:
-        save_tensor(tmp_path / "rm" / "payloads.lrt", rm.payloads[:-1])
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ShapeError):
-        ReplayMemory.load(tmp_path / "rm", SeededRng(0))
-
-
 class ListMemory:
     """The list-of-items memory the parallel arrays replaced: the reference."""
 
-    def __init__(self, capacity, rng, store_patterns):
-        self.capacity, self.rng, self.store_patterns, self.items = capacity, rng, store_patterns, []
+    def __init__(self, capacity, rng):
+        self.capacity, self.rng, self.items = capacity, rng, []
 
     def update(self, patterns, labels, i, payload_fn=None):
         h = min(self.capacity // i, len(labels))
@@ -177,9 +142,7 @@ class ListMemory:
             add_idx = np.sort(self.rng.choice(len(labels), h))
             payloads = payload_fn(add_idx) if payload_fn is not None else patterns[add_idx]
             for j, idx in enumerate(add_idx):
-                pattern = np.array(patterns[idx], dtype=np.float32) if self.store_patterns else None
-                self.items.append((np.array(payloads[j], dtype=np.float32), int(labels[idx]), i,
-                                   pattern))
+                self.items.append((np.array(payloads[j], dtype=np.float32), int(labels[idx]), i))
         return h, replace_n
 
     def stacked(self, indices):
@@ -188,14 +151,12 @@ class ListMemory:
 
 
 @pytest.mark.parametrize("latent", [False, True])
-@pytest.mark.parametrize("store_patterns", [False, True])
-def test_arrays_match_list_reference(latent, store_patterns):
+def test_arrays_match_list_reference(latent):
     for seed in range(4):
         sizes = SeededRng(100 + seed).randint(1, 90, 12)
         capacity = 40 + 20 * seed
-        ref = ListMemory(capacity, SeededRng(seed), store_patterns)
-        rm = ReplayMemory(capacity, SeededRng(seed), kind="latent" if latent else "native",
-                          tap="t", store_patterns=store_patterns)
+        ref = ListMemory(capacity, SeededRng(seed))
+        rm = ReplayMemory(capacity, SeededRng(seed), kind="latent" if latent else "native")
         for i, n in enumerate(sizes, start=1):
             x, y = make_batch(int(n), label_base=i, dim=3, seed=10 * seed + i)
             payload_fn = (lambda idxs, x=x: x[idxs] * 2.0 - 1.0) if latent else None
@@ -204,10 +165,6 @@ def test_arrays_match_list_reference(latent, store_patterns):
             assert np.array_equal(rm.payloads, np.stack([it[0] for it in ref.items]))
             assert rm.labels.tolist() == [it[1] for it in ref.items]
             assert rm.origins.tolist() == [it[2] for it in ref.items]
-            if store_patterns:
-                assert np.array_equal(rm.patterns, np.stack([it[3] for it in ref.items]))
-            else:
-                assert rm.patterns is None
             idx = rm.sample(min(len(rm), 16), SeededRng(1000 + i))
             got, want = rm.stacked(idx), ref.stacked(idx)
             assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
@@ -265,34 +222,7 @@ def test_compose_with_replacement_fallback_warns():
     assert len(idx) == n_rep
 
 
-# -- precompute_latents ----------------------------------------------------------
-
-
-def test_precompute_latents_matches_forward_tap():
-    net = build_tinynic_network(classes=10, seed=16)
-    net.freeze_below_tap()
-    frames = SeededRng(17).normal((7, 1, 16, 16))
-    lats = precompute_latents(net, frames)
-    assert len(lats) == 7
-    want = net.tap_activations(frames)
-    for got, ref in zip(lats, want):
-        assert np.array_equal(got, ref)
-
-
-def test_precompute_latents_order_and_determinism():
-    net = build_tinynic_network(classes=10, seed=18)
-    net.freeze_below_tap()
-    frame = SeededRng(19).normal((1, 16, 16))
-    lats = precompute_latents(net, [frame, frame, frame])
-    assert np.array_equal(lats[0], lats[1])
-    assert np.array_equal(lats[1], lats[2])
-
-
-def test_precompute_latents_requires_frozen_lower():
-    net = build_tinynic_network(classes=10, seed=20)
-    frames = SeededRng(21).normal((2, 1, 16, 16))
-    with pytest.raises(StateError):
-        precompute_latents(net, frames)
+# -- pre-caching latents while frames arrive -------------------------------------
 
 
 def test_precompute_worker_thread_feeds_head_training():
@@ -310,8 +240,8 @@ def test_precompute_worker_thread_feeds_head_training():
     q: queue.Queue = queue.Queue()
 
     def worker():
-        for lat in precompute_latents(net, frames):
-            q.put(lat)
+        for frame in frames:
+            q.put(net.tap_activations(frame[None])[0])
         q.put(None)
 
     t = threading.Thread(target=worker)
@@ -336,6 +266,31 @@ def test_precompute_worker_thread_feeds_head_training():
     ref.freeze_below_tap()
     want = ref.tap_activations(frames)
     assert np.array_equal(np.stack(got), want)
+
+
+@pytest.mark.parametrize("strategy, tap", [("ar1*", "relu3"), ("ar1*", "pool"),
+                                           ("cwr*", "pool")])
+def test_stored_latents_are_todays_lower_net_output(strategy, tap):
+    """Freezing below the tap keeps every stored latent valid: after a whole
+    stream, each one is, bit for bit, what the lower net gives its pattern
+    now. A native memory fed the same updates picks the same items, since
+    the memory's draws do not depend on payloads, and so holds the patterns."""
+    scen = generate_tinynic(ScenarioParams(classes=6, instances_per_class=2,
+                                           frames_per_session=20, first_batch_classes=3,
+                                           first_batch_instances=1,
+                                           test_frames_per_instance=1), seed=37)
+    net = build_tinynic_network(classes=6, seed=38, tap=tap, width=4)
+    trainer = ContinualTrainer(net, StrategyConfig(
+        strategy=strategy, replay_kind="latent", rm_capacity=60, epochs=1, mb=16), seed=39)
+    ref = ReplayMemory(60, SeededRng(39).spawn(0x2E))
+    for i, batch in enumerate(scen.batches, start=1):
+        trainer.train_batch(batch.x, batch.y)
+        ref.update(batch.x, batch.y, i)
+    assert len(ref) == 60 and len(set(ref.origins.tolist())) > 2
+    assert np.array_equal(trainer.rm.labels, ref.labels)
+    assert np.array_equal(trainer.rm.origins, ref.origins)
+    assert np.array_equal(net.tap_activations(ref.payloads).view(np.uint32),
+                          trainer.rm.payloads.view(np.uint32))
 
 
 # -- sparsifier -------------------------------------------------------------------
@@ -368,10 +323,8 @@ def test_l1_penalty_gradient_matches_fd(rng):
 
 
 def test_sparsifier_config_gating():
-    cfg = SparsifierConfig(alpha=1e-3, first_batch_only=True)
-    assert cfg.active(1) and not cfg.active(2)
-    always = SparsifierConfig(alpha=1e-3, first_batch_only=False)
-    assert always.active(5)
+    cfg = SparsifierConfig(alpha=1e-3)
+    assert cfg.active(1) and not cfg.active(2) and not cfg.active(5)
     assert not SparsifierConfig(alpha=0.0).active(1)
     with pytest.raises(ConfigError):
         SparsifierConfig(alpha=-1.0)
@@ -383,55 +336,3 @@ def test_sparsity_stats():
     frac = sparsity_stats(post_relu)
     assert 0.45 < frac < 0.55
     assert sparsity_stats(np.ones((2, 2), dtype=np.float32)) == 1.0
-
-
-# -- aging drift ------------------------------------------------------------------
-
-
-def _latent_memory_with_refs(net, n=12, seed=25):
-    rm = ReplayMemory(n, SeededRng(seed), kind="latent", tap=net.tap,
-                      store_patterns=True)
-    x = SeededRng(seed + 1).normal((n, 1, 16, 16))
-    rm.update(x, np.arange(n) % 10, 1,
-              payload_fn=lambda idxs: net.tap_activations(x[idxs]))
-    return rm, x
-
-
-def test_drift_zero_when_fully_frozen():
-    net = build_tinynic_network(classes=10, seed=26)
-    net.freeze_below_tap()
-    rm, _ = _latent_memory_with_refs(net)
-    assert aging_drift(rm, net) == 0.0
-
-
-def test_drift_zero_for_just_stored_items():
-    net = build_tinynic_network(classes=10, seed=27)
-    rm, _ = _latent_memory_with_refs(net)
-    assert aging_drift(rm, net) == 0.0
-
-
-def test_drift_positive_after_lower_layer_movement():
-    net = build_tinynic_network(classes=10, seed=28)
-    rm, _ = _latent_memory_with_refs(net)
-    # one train-mode pass with live moments ages the stored activations
-    x = SeededRng(29).normal((32, 1, 16, 16))
-    net.forward(x, mode="train")
-    drift = aging_drift(rm, net)
-    assert drift > 0.0
-
-
-def test_drift_requires_debug_refs():
-    net = build_tinynic_network(classes=10, seed=30)
-    rm = ReplayMemory(4, SeededRng(31), kind="latent", tap=net.tap)
-    x = SeededRng(32).normal((4, 1, 16, 16))
-    rm.update(x, np.arange(4), 1,
-              payload_fn=lambda idxs: net.tap_activations(x[idxs]))
-    with pytest.raises(StateError):
-        aging_drift(rm, net)
-
-
-def test_drift_native_memory_unsupported():
-    net = build_tinynic_network(classes=10, seed=33)
-    rm = ReplayMemory(4, SeededRng(34))
-    with pytest.raises(StateError):
-        aging_drift(rm, net)

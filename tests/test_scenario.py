@@ -213,20 +213,6 @@ def test_run_protocol_rejects_scenario_of_other_input_shape():
         run_protocol(net, StrategyConfig(strategy="naive"), scen, seed=0)
 
 
-@pytest.mark.parametrize("store_patterns", [False, True])
-def test_run_protocol_reports_drift_when_latent_memory_keeps_patterns(store_patterns):
-    scen = generate_tinynic(SMALL, seed=9)
-    net = build_tinynic_network(classes=4, seed=2, width=4)
-    cfg = StrategyConfig(strategy="ar1*free", replay_kind="latent", rm_capacity=20,
-                         epochs=1, mb=16, store_patterns=store_patterns)
-    drifts = [r.drift for r in run_protocol(net, cfg, scen, seed=0)]
-    assert len(drifts) == len(scen.batches)
-    if store_patterns:
-        assert drifts == [0.0] * len(scen.batches)  # the lower net is pinned
-    else:
-        assert drifts == [None] * len(scen.batches)
-
-
 def test_one_batch_scenario_equals_direct_training():
     params = ScenarioParams(classes=3, instances_per_class=1,
                             frames_per_session=30, first_batch_classes=3,
@@ -362,11 +348,11 @@ def test_manifest_labels_not_a_list_errors(tmp_path):
 
 
 def test_metrics_csv_format(tmp_path):
-    rows = [MetricsRow(1, 0.5, 12.345, 100, None),
-            MetricsRow(2, 0.75, 13.0, 200, 0.0123)]
+    rows = [MetricsRow(1, 0.5, 12.345, 100),
+            MetricsRow(2, 0.75, 13.0, 200)]
     path = tmp_path / "m.csv"
     write_metrics_csv(rows, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "batch,accuracy,train_ms,rm_items,drift"
-    assert lines[1] == "1,0.500000,12.345,100,"
-    assert lines[2] == "2,0.750000,13.000,200,1.230000e-02"
+    assert lines[0] == "batch,accuracy,train_ms,rm_items"
+    assert lines[1] == "1,0.500000,12.345,100"
+    assert lines[2] == "2,0.750000,13.000,200"
