@@ -7,9 +7,8 @@ sparsification can take place. The non-zero fraction drops steeply with
 the L1 weight while first-batch accuracy degrades gracefully.
 """
 
-from latentreplay import (ScenarioParams, SparsifierConfig, StrategyConfig,
-                          build_tinynic_network, generate_tinynic,
-                          sparsity_stats)
+from latentreplay import (ScenarioParams, StrategyConfig, build_tinynic_network,
+                          generate_tinynic, sparsity_stats)
 from latentreplay.strategies import ContinualTrainer
 
 params = ScenarioParams(classes=6, instances_per_class=2, frames_per_session=30,
@@ -25,8 +24,7 @@ for alpha in (0.0, 5e-4, 1e-3, 2e-3, 4e-3):
     net = build_tinynic_network(classes=params.classes, seed=3)
     cfg = StrategyConfig(strategy="ar1*free", replay_kind="latent",
                          rm_capacity=200, lr_first=0.03, lr_head=0.09,
-                         lr_other=0.009, mb=32,
-                         sparsifier=SparsifierConfig(alpha=alpha))
+                         lr_other=0.009, mb=32, sparsifier_alpha=alpha)
     trainer = ContinualTrainer(net, cfg, seed=3)
     trainer.train_batch(first.x, first.y)
     fraction = sparsity_stats(net.tap_activations(first.x))

@@ -26,19 +26,17 @@ from .errors import (ConfigError, ShapeError, StateError, TensorFormatError, req
                      require_finite, require_int, require_str)
 from .network import Network
 from .presets import build_tinynic_network
-from .replay import SparsifierConfig
 from .scenario import (MetricsRow, NicScenario, ScenarioParams, cumulative_baseline,
                        generate_tinynic, load_dataset, run_protocol, save_scenario,
                        write_metrics_csv)
 from .strategies import StrategyConfig
 
 _RUN_KEYS = {"scenario", "network", "strategies", "seeds", "include_cumulative",
-             "cumulative_epochs", "cumulative_mb", "cumulative_lr", "eval_every",
-             "record_timing", "output_dir"}
+             "cumulative_epochs", "cumulative_lr", "eval_every", "record_timing",
+             "output_dir"}
 _SCENARIO_KEYS = {"generator", "manifest"}
-_NETWORK_KEYS = {"builtin", "tap", "width", "avg_rate", "spec_path"}
-_SPARSIFIER_KEYS = {"alpha"}
-_STRATEGY_EXTRA = {"name", "sparsifier", "tap"}
+_NETWORK_KEYS = {"builtin", "width", "avg_rate", "spec_path"}
+_STRATEGY_EXTRA = {"name", "tap"}
 
 
 def _check_keys(block: dict, allowed: set, where: str) -> None:
@@ -63,13 +61,10 @@ def _scenario_params_from(block: dict) -> tuple[ScenarioParams, int]:
 def _strategy_from(block: dict) -> tuple[str, str | None, StrategyConfig]:
     fields = {f.name for f in dataclasses.fields(StrategyConfig)}
     _check_keys(block, fields | _STRATEGY_EXTRA, "strategy block")
-    name = block.get("name") or block.get("strategy", "naive")
-    kwargs = {k: v for k, v in block.items() if k in fields and k != "sparsifier"}
-    spars = block.get("sparsifier")
-    if spars is not None:
-        _check_keys(spars, _SPARSIFIER_KEYS, "sparsifier block")
-        kwargs["sparsifier"] = SparsifierConfig(**spars)
-    return str(name), block.get("tap"), StrategyConfig(**kwargs)
+    name = require_str("name", block.get("name", "")) or block.get("strategy", "naive")
+    tap = require_str("tap", block["tap"]) if "tap" in block else None
+    kwargs = {k: v for k, v in block.items() if k in fields}
+    return str(name), tap, StrategyConfig(**kwargs)
 
 
 class ExperimentConfig:
@@ -96,6 +91,9 @@ class ExperimentConfig:
 
         net_block = doc.get("network", {"builtin": "tinynic"})
         _check_keys(net_block, _NETWORK_KEYS, "network")
+        ignored = sorted(set(net_block) - {"spec_path"}) if "spec_path" in net_block else []
+        if ignored:
+            raise ConfigError(f"network keys {ignored} do not apply to a spec_path network")
         self.network_block = net_block
 
         if not isinstance(doc["strategies"], list):
@@ -111,11 +109,9 @@ class ExperimentConfig:
             require_int("seeds[]", seed, 0)
         self.include_cumulative = doc.get("include_cumulative", False)
         self.cumulative_epochs = doc.get("cumulative_epochs", 8)
-        self.cumulative_mb = doc.get("cumulative_mb", 32)
         self.cumulative_lr = doc.get("cumulative_lr", 0.001)
         self.eval_every = doc.get("eval_every", 1)
         require_int("cumulative_epochs", self.cumulative_epochs, 1)
-        require_int("cumulative_mb", self.cumulative_mb, 1)
         require_finite("cumulative_lr", self.cumulative_lr)
         require_int("eval_every", self.eval_every, 1)
         self.record_timing = doc.get("record_timing", True)
@@ -131,24 +127,24 @@ class ExperimentConfig:
         return generate_tinynic(self.scenario_params, self.scenario_seed)
 
     def build_network(self, classes: int, seed: int, tap: str | None = None) -> Network:
-        """The configured network, tapped at ``tap``, else at the network
-        block's tap, else at its spec's or builtin's own."""
+        """The configured network, tapped at ``tap``, else at its spec's or
+        builtin's own."""
         block = self.network_block
-        tap = tap or block.get("tap")
         if "spec_path" in block:
             path = os.path.join(self.base_dir,
                                 require_str("network.spec_path", block["spec_path"]))
             with open(path) as fh:
                 doc = json.load(fh)
             try:
-                return Network.from_spec(dict(doc, tap=tap or doc.get("tap")), seed=seed)
+                return Network.from_spec(doc if tap is None else dict(doc, tap=tap),
+                                         seed=seed)
             except KeyError as exc:
                 raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from None
         if block.get("builtin", "tinynic") != "tinynic":
             raise ConfigError(f"unknown builtin network {block.get('builtin')!r}")
         return build_tinynic_network(
-            classes=classes, tap=tap or "relu3", seed=seed, width=block.get("width", 8),
-            avg_rate=block.get("avg_rate", 0.99))
+            classes=classes, tap="relu3" if tap is None else tap, seed=seed,
+            width=block.get("width", 8), avg_rate=block.get("avg_rate", 0.99))
 
 
 def _load_json(path):
@@ -198,8 +194,8 @@ def cmd_run(args) -> int:
         for seed in seeds:
             net = cfg.build_network(scenario.classes, seed)
             cumulative[seed] = cumulative_baseline(
-                net, scenario, epochs=cfg.cumulative_epochs, mb=cfg.cumulative_mb,
-                lr=cfg.cumulative_lr, seed=seed, record_timing=cfg.record_timing)
+                net, scenario, epochs=cfg.cumulative_epochs, lr=cfg.cumulative_lr,
+                seed=seed, record_timing=cfg.record_timing)
 
     single = len(cfg.strategies) == 1 and len(seeds) == 1
     summary: dict = {"strategies": {}, "seeds": seeds}

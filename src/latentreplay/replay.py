@@ -11,26 +11,11 @@ balancing is enforced.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError, require_finite
+from .errors import ConfigError, ShapeError, StateError
 from .rng import SeededRng
-
-
-@dataclass
-class SparsifierConfig:
-    """L1 attraction of the tap activations toward zero, during the
-    first batch only."""
-
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        require_finite("alpha", self.alpha)
-
-    def active(self, batch_index: int) -> bool:
-        return self.alpha != 0.0 and batch_index == 1
 
 
 class ReplayMemory:

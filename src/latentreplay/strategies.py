@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, require_finite, require_int
 from .kernels import softmax_xent
 from .network import Network
-from .replay import (ReplayMemory, SparsifierConfig, compose_minibatch,
-                     l1_activation_penalty)
+from .replay import ReplayMemory, compose_minibatch, l1_activation_penalty
 from .rng import SeededRng
 
 SGD_STRATEGIES = ("naive", "cwr*", "ar1*", "ar1*free")
@@ -191,13 +190,7 @@ class StrategyConfig:
     lr_first: float = 0.001
     lr_head: float = 0.003
     lr_other: float = 0.0003
-    si_lambda: float = 1.0
-    si_xi: float = 1e-7
-    si_w1: float = 0.5
-    si_wi: float = 0.5
-    si_max_f: float = 0.001
-    dslda_shrink: float = 1e-4
-    sparsifier: SparsifierConfig = field(default_factory=SparsifierConfig)
+    sparsifier_alpha: float = 0.0       # L1 weight on the tap activations, batch 1 only
 
     def validate(self, net: Network) -> None:
         if self.strategy not in STRATEGIES:
@@ -216,12 +209,10 @@ class StrategyConfig:
         require_int("epochs", self.epochs, 1)
         require_int("mb", self.mb, 1)
         require_int("rm_capacity", self.rm_capacity, 0)
-        for name in ("lr_first", "lr_head", "lr_other", "si_lambda", "si_xi",
-                     "si_w1", "si_wi", "si_max_f"):
+        if self.rm_capacity > 0 and self.replay_kind is None:
+            raise ConfigError(f"rm_capacity {self.rm_capacity} needs a replay_kind")
+        for name in ("lr_first", "lr_head", "lr_other", "sparsifier_alpha"):
             require_finite(name, getattr(self, name))
-        if self.si_xi == 0:
-            raise ConfigError("si_xi must be > 0, got 0")
-        require_finite("dslda_shrink", self.dslda_shrink, maximum=1)
 
 
 @dataclass
@@ -253,12 +244,10 @@ class ContinualTrainer:
             self.cwr = CwrHead(head.in_features, head.units)
         self.si = None
         if cfg.strategy == "ar1*":
-            self.si = SiState(net, cfg.si_lambda, cfg.si_xi, cfg.si_w1,
-                              cfg.si_wi, cfg.si_max_f)
+            self.si = SiState(net)
         self.dslda = None
         if cfg.strategy == "dslda":
-            self.dslda = DsldaState(int(np.prod(net.tap_shape)), net.class_count,
-                                    cfg.dslda_shrink)
+            self.dslda = DsldaState(int(np.prod(net.tap_shape)), net.class_count)
 
     # -- phases ----------------------------------------------------------
 
@@ -322,7 +311,7 @@ class ContinualTrainer:
             n_nat, n_rep = min(cfg.mb, B), 0
         n_nat = max(n_nat, 1)
         iterations = -(-B // n_nat)
-        sparsify = cfg.sparsifier.active(i)
+        sparsify = cfg.sparsifier_alpha != 0.0 and i == 1
 
         trace = []
         for _ in range(cfg.epochs):
@@ -344,7 +333,7 @@ class ContinualTrainer:
                 loss, dlogits = softmax_xent(logits, y_joint)
                 tap_extra = None
                 if sparsify:
-                    pen, dacts = l1_activation_penalty(tapped, cfg.sparsifier.alpha)
+                    pen, dacts = l1_activation_penalty(tapped, cfg.sparsifier_alpha)
                     loss += pen
                     tap_extra = dacts
                 grads = net.backward(dlogits, tap_grad_extra=tap_extra)

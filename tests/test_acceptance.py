@@ -17,8 +17,7 @@ from latentreplay.kernels import softmax_xent
 from latentreplay.layers import Brn, Conv, Dense, DwConv, Relu
 from latentreplay.network import Network
 from latentreplay.presets import build_tinynic_network
-from latentreplay.replay import (ReplayMemory, SparsifierConfig,
-                                 compose_minibatch, l1_activation_penalty,
+from latentreplay.replay import (ReplayMemory, compose_minibatch, l1_activation_penalty,
                                  sparsity_stats)
 from latentreplay.rng import SeededRng
 from latentreplay.scenario import (ScenarioParams, cumulative_baseline,
@@ -397,7 +396,7 @@ def test_criterion_10_sparsification_trend(reference_scenario):
         net = build_tinynic_network(classes=10, seed=101)
         cfg = StrategyConfig(strategy="ar1*free", replay_kind="latent",
                              rm_capacity=500, **REFERENCE_LRS,
-                             sparsifier=SparsifierConfig(alpha=alpha))
+                             sparsifier_alpha=alpha)
         trainer = ContinualTrainer(net, cfg, seed=101)
         trainer.train_batch(b1.x, b1.y)
         fractions.append(sparsity_stats(net.tap_activations(b1.x)))

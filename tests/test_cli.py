@@ -197,11 +197,10 @@ def test_run_invalid_json(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"lr_other": -0.1}, {"epochs": "4"}, {"iterations": 0},
-                                 {"sparsifier": {"alpha": "x"}},
+                                 {"sparsifier_alpha": "x"},
                                  {"config": {"seeds": ["a"]}}, {"config": {"seeds": [1.5]}},
                                  {"config": {"seeds": []}},
                                  {"config": {"cumulative_epochs": "x"}},
-                                 {"config": {"cumulative_mb": 0}},
                                  {"config": {"cumulative_lr": "x"}},
                                  {"config": {"eval_every": "2"}},
                                  {"config": {"scenario": {"generator": dict(SMALL_GEN,
@@ -214,7 +213,6 @@ def test_run_invalid_json(tmp_path):
                                                          "avg_rate": 1.5}}},
                                  {"config": {"record_timing": "false"}},
                                  {"config": {"include_cumulative": "true"}},
-                                 {"sparsifier": 5}, {"si_xi": 0}, {"dslda_shrink": -1},
                                  {"config": {"scenario": 5}}, {"config": {"network": 5}},
                                  {"config": {"strategies": 5}},
                                  {"config": {"strategies": [5]}},
@@ -225,7 +223,9 @@ def test_run_invalid_json(tmp_path):
                                      SMALL_GEN, pattern_shape="ab")}}},
                                  {"config": {"scenario": {"generator": dict(
                                      SMALL_GEN, pattern_shape=[1, 8, 8])}}},
-                                 {"sparsifier": {"alpha": -1.0}}])
+                                 {"sparsifier_alpha": -1.0}, {"name": 5},
+                                 {"name": {"a": 1}}, {"tap": ""}, {"tap": 0}, {"tap": []},
+                                 {"rm_capacity": 500}])
 def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     """A bad strategy-block value, or a bad top-level one under "config"."""
     bad = dict(bad)
@@ -242,19 +242,27 @@ def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
 
 @pytest.mark.parametrize("key, where", [
     ("freeze_below_tap_moments", "strategy block"), ("store_patterns", "strategy block"),
-    ("first_batch_only", "sparsifier block"), ("track_drift", "config")],
-    ids=["freeze_below_tap_moments", "store_patterns", "first_batch_only", "track_drift"])
+    ("si_lambda", "strategy block"), ("si_xi", "strategy block"),
+    ("si_w1", "strategy block"), ("si_wi", "strategy block"),
+    ("si_max_f", "strategy block"), ("dslda_shrink", "strategy block"),
+    ("sparsifier", "strategy block"), ("track_drift", "config"),
+    ("cumulative_mb", "config"), ("tap", "network")],
+    ids=["freeze_below_tap_moments", "store_patterns", "si_lambda", "si_xi", "si_w1", "si_wi",
+         "si_max_f", "dslda_shrink", "sparsifier", "track_drift", "cumulative_mb", "tap"])
 def test_run_config_with_removed_key_exits_1(tmp_path, key, where):
     """Keys whose mechanism is gone are unknown keys, not silently ignored:
     freezing below the tap always pins the BRN moments, aging drift and the
-    patterns it kept are deleted, and the sparsifier acts on batch 1 only."""
+    patterns it kept are deleted, the strategy name alone says whether SI
+    protects the lower weights, the SI and DSLDA constants, the cumulative
+    mini-batch and the builtin network's tap are their defaults, and the
+    sparsifier is one value, ``sparsifier_alpha``."""
     block = {"name": "x", "strategy": "ar1*free", "replay_kind": "latent", "rm_capacity": 20,
              "epochs": 1, "mb": 16}
     top = {}
     if where == "strategy block":
         block[key] = True
-    elif where == "sparsifier block":
-        block["sparsifier"] = {"alpha": 1e-3, key: True}
+    elif where == "network":
+        top["network"] = {"builtin": "tinynic", "width": 4, key: "relu3"}
     else:
         top[key] = True
     cfg = run_config(tmp_path, strategies=[block], **top)
@@ -347,6 +355,18 @@ def test_run_spec_bad_brn_field_exits_1(tmp_path, capsys, field, value, message)
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("extra", [{"width": 64},
+                                   {"width": 64, "avg_rate": 0.5, "builtin": "nope"}],
+                         ids=["width", "all"])
+def test_run_spec_path_with_builtin_keys_exits_1(tmp_path, capsys, extra):
+    """A spec_path network is the spec's; the builtin's keys would be ignored."""
+    (tmp_path / "net.json").write_text(json.dumps(tinynic_network_spec(classes=4, width=4)))
+    cfg = run_config(tmp_path, network=dict({"spec_path": "net.json"}, **extra))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: network keys {sorted(extra)} do not apply to a spec_path network"]
+
+
 def test_run_spec_path_matches_builtin_and_honours_block_tap(tmp_path):
     (tmp_path / "net.json").write_text(json.dumps(tinynic_network_spec(classes=4, width=4)))
     blocks = [{"name": "relu3", "strategy": "ar1*free", "replay_kind": "latent",
@@ -391,10 +411,9 @@ def test_run_zero_divisor_is_config_error(tmp_path, capsys, key, overrides):
 
 
 @pytest.mark.parametrize("bad", [
-    {"strategy": "naive", "lr_other": -0.1}, {"strategy": "ar1*", "si_xi": 0},
-    {"strategy": "dslda", "dslda_shrink": "x"}, {"strategy": "dslda", "dslda_shrink": -1},
-    {"strategy": "dslda", "dslda_shrink": 2}],
-    ids=["lr_other", "si_xi", "dslda_shrink-x", "dslda_shrink-neg", "dslda_shrink-2"])
+    {"strategy": "naive", "lr_other": -0.1}, {"strategy": "cwr*", "tap": "relu3"},
+    {"strategy": "dslda", "replay_kind": "native"}],
+    ids=["lr_other", "cwr-relu3", "dslda-replay"])
 def test_run_checks_every_block_before_training(tmp_path, monkeypatch, bad):
     calls = []
     monkeypatch.setattr(cli, "run_protocol", lambda *a, **k: calls.append(a))

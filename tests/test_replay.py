@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from latentreplay import strategies
 from latentreplay.accounting import memory_footprint
-from latentreplay.errors import ConfigError, StateError
+from latentreplay.errors import StateError
 from latentreplay.presets import build_tinynic_network
-from latentreplay.replay import (ReplayMemory, SparsifierConfig, compose_minibatch,
+from latentreplay.replay import (ReplayMemory, compose_minibatch,
                                  l1_activation_penalty, sparsity_stats)
 from latentreplay.rng import SeededRng
 from latentreplay.scenario import ScenarioParams, generate_tinynic
@@ -322,12 +323,29 @@ def test_l1_penalty_gradient_matches_fd(rng):
     check_grad_tensor(loss, acts, d, rng, h=1e-3, label="l1")
 
 
-def test_sparsifier_config_gating():
-    cfg = SparsifierConfig(alpha=1e-3)
-    assert cfg.active(1) and not cfg.active(2) and not cfg.active(5)
-    assert not SparsifierConfig(alpha=0.0).active(1)
-    with pytest.raises(ConfigError):
-        SparsifierConfig(alpha=-1.0)
+def test_sparsifier_config_gating(monkeypatch):
+    """The L1 term joins every step of batch 1, no step after it, and no
+    step at all at alpha 0."""
+    calls = []
+
+    def counted(acts, alpha):
+        calls.append(alpha)
+        return l1_activation_penalty(acts, alpha)
+
+    monkeypatch.setattr(strategies, "l1_activation_penalty", counted)
+    r = SeededRng(25)
+    batches = [(r.normal((20, 1, 16, 16)), r.randint(0, 4, 20)) for _ in range(2)]
+    for alpha in (1e-3, 0.0):
+        calls.clear()
+        trainer = ContinualTrainer(
+            build_tinynic_network(classes=4, seed=26, width=4),
+            StrategyConfig(strategy="ar1*free", replay_kind="latent", rm_capacity=20,
+                           epochs=2, mb=8, sparsifier_alpha=alpha), seed=1)
+        first = trainer.train_batch(*batches[0])
+        steps = first.steps if alpha else 0
+        assert len(calls) == steps
+        trainer.train_batch(*batches[1])
+        assert calls == [alpha] * steps
 
 
 def test_sparsity_stats():

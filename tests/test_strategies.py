@@ -8,7 +8,6 @@ from latentreplay.errors import ConfigError, StateError
 from latentreplay.kernels import softmax_xent
 from latentreplay.layers import Dense
 from latentreplay.presets import build_tinynic_network
-from latentreplay.replay import SparsifierConfig
 from latentreplay.rng import SeededRng
 from latentreplay.scenario import ScenarioParams, generate_tinynic
 from latentreplay.strategies import (ContinualTrainer, CwrHead, DsldaState,
@@ -472,7 +471,8 @@ def test_ar1free_equals_ar1_with_lambda_zero():
     a = ContinualTrainer(net_a, StrategyConfig(
         strategy="ar1*free", replay_kind="latent", rm_capacity=50), seed=5)
     b = ContinualTrainer(net_b, StrategyConfig(
-        strategy="ar1*", si_lambda=0.0, replay_kind="latent", rm_capacity=50), seed=5)
+        strategy="ar1*", replay_kind="latent", rm_capacity=50), seed=5)
+    b.si.lam = 0.0
     for x, y in batches:
         a.train_batch(x, y)
         b.train_batch(x, y)
@@ -578,17 +578,14 @@ def test_config_errors():
 @pytest.mark.parametrize("field,value", [
     ("epochs", "4"), ("mb", "8"), ("rm_capacity", "30"), ("epochs", True), ("mb", 8.0),
     ("lr_first", float("nan")), ("lr_first", -0.1),
-    ("lr_head", float("inf")), ("lr_other", -0.1), ("lr_other", "0.01"), ("si_lambda", -1.0),
-    ("si_xi", float("nan")), ("si_xi", 0), ("si_max_f", None), ("dslda_shrink", "x"),
-    ("dslda_shrink", -1), ("dslda_shrink", 2), ("alpha", "x"), ("alpha", float("inf")),
+    ("lr_head", float("inf")), ("lr_other", -0.1), ("lr_other", "0.01"),
+    ("sparsifier_alpha", "x"), ("sparsifier_alpha", float("inf")), ("sparsifier_alpha", -1.0),
+    ("rm_capacity", 500),  # a capacity with no replay_kind would never hold an item
 ])
 def test_config_rejects_bad_types_and_ranges(field, value):
     net = build_tinynic_network(classes=6, seed=27)
     with pytest.raises(ConfigError, match=field):
-        if field == "alpha":
-            SparsifierConfig(**{field: value})
-        else:
-            ContinualTrainer(net, StrategyConfig(**{field: value}))
+        ContinualTrainer(net, StrategyConfig(**{field: value}))
 
 
 def test_predict_labels_stops_on_non_finite_logits_without_warnings():
@@ -607,9 +604,11 @@ def test_config_defaults_match_reference_tables():
     assert cfg.lr_head == 0.003         # later batches, output layer
     assert cfg.lr_other == 0.0003       # later batches, lower layers (10:1)
     assert cfg.epochs == 4
-    assert cfg.si_w1 == cfg.si_wi == 0.5
-    assert cfg.si_max_f == 0.001
-    assert cfg.dslda_shrink == 1e-4
+    si = SiState(build_tinynic_network(classes=6, seed=27))
+    assert si.lam == 1.0 and si.xi == 1e-7
+    assert si.w1 == si.wi == 0.5
+    assert si.max_f == 0.001
+    assert DsldaState(3, 2).shrink == 1e-4
 
     from latentreplay.layers import Brn
     brn = Brn("b", 1)
