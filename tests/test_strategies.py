@@ -6,7 +6,7 @@ import pytest
 
 from latentreplay.errors import ConfigError, StateError
 from latentreplay.kernels import softmax_xent
-from latentreplay.layers import Dense
+from latentreplay.layers import Brn, Dense
 from latentreplay.presets import build_tinynic_network
 from latentreplay.rng import SeededRng
 from latentreplay.scenario import ScenarioParams, generate_tinynic
@@ -563,6 +563,36 @@ def test_head_steps_at_exactly_lr_head():
     for k, g in grads["fc"].items():
         want = -(0.09 * g.astype(np.float64)).astype(np.float32)
         assert np.array_equal(deltas[("fc", k)], want.astype(np.float64)), k
+
+
+# strategy: (CWR head, SI, DSLDA, only the head trains after batch 1)
+PRESETS = {
+    "naive": (False, False, False, False),
+    "cwr*": (True, False, False, True),
+    "ar1*": (True, True, False, False),
+    "ar1*free": (True, False, False, False),
+    "dslda": (False, False, True, False),
+}
+
+
+@pytest.mark.parametrize("strategy, latent", [
+    (s, latent) for s in PRESETS for latent in (False, True)
+    if not (s == "dslda" and latent)])
+def test_strategy_presets_build_their_parts_and_pin_the_lower_net(strategy, latent):
+    cwr, si, dslda, head_only = PRESETS[strategy]
+    net = build_tinynic_network(classes=6, seed=32, width=4,
+                                tap="pool" if head_only or dslda else "relu3")
+    memory = dict(replay_kind="latent", rm_capacity=20) if latent else {}
+    trainer = ContinualTrainer(net, StrategyConfig(strategy=strategy, epochs=1, mb=16,
+                                                   **memory), seed=10)
+    for x, y in tinynic_batches(2, per_batch=16, seed=33):
+        trainer.train_batch(x, y)
+    built = (trainer.cwr is not None, trainer.si is not None, trainer.dslda is not None)
+    assert built == (cwr, si, dslda)
+    pinned = head_only or latent
+    assert net.frozen_below_tap == pinned
+    brns = [l for l in net.layers[:net.tap_index + 1] if isinstance(l, Brn)]
+    assert brns and all(l.moments_frozen == pinned for l in brns)
 
 
 def test_config_errors():
