@@ -22,7 +22,7 @@ net.lr_mult["fc"] = 0.5  # the head, the only layer above the tap
 
 # an already-populated replay memory of older sessions (500 latent
 # patterns of classes 0..8, each class around its own prototype)
-rm = ReplayMemory(500, SeededRng(10), kind="latent")
+rm = ReplayMemory(500, SeededRng(10))
 old_y = rng.randint(0, 9, 500)
 protos = rng.normal((9, 1, 16, 16))
 old = (protos[old_y] + 0.3 * rng.normal((500, 1, 16, 16))).astype(np.float32)

@@ -35,7 +35,7 @@ _RUN_KEYS = {"scenario", "network", "strategies", "seeds", "include_cumulative",
              "cumulative_epochs", "cumulative_lr", "eval_every", "record_timing",
              "output_dir"}
 _SCENARIO_KEYS = {"generator", "manifest"}
-_NETWORK_KEYS = {"builtin", "width", "avg_rate", "spec_path"}
+_NETWORK_KEYS = {"builtin", "width", "spec_path"}
 _STRATEGY_EXTRA = {"name", "tap"}
 
 
@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a non-empty list")
         for seed in self.seeds:
             require_int("seeds[]", seed, 0)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be unique")
         self.include_cumulative = doc.get("include_cumulative", False)
         self.cumulative_epochs = doc.get("cumulative_epochs", 8)
         self.cumulative_lr = doc.get("cumulative_lr", 0.001)
@@ -144,7 +146,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown builtin network {block.get('builtin')!r}")
         return build_tinynic_network(
             classes=classes, tap="relu3" if tap is None else tap, seed=seed,
-            width=block.get("width", 8), avg_rate=block.get("avg_rate", 0.99))
+            width=block.get("width", 8))
 
 
 def _load_json(path):
@@ -158,8 +160,8 @@ def _load_json(path):
 def _prepare(cfg: ExperimentConfig, scenario: NicScenario, tap: str | None,
              strat: StrategyConfig, seed: int) -> Network:
     """Build a block's network, tapped at ``tap``, and check the block against it."""
-    if strat.strategy in ("cwr*", "dslda") and tap is None:
-        tap = "pool"
+    if tap is None and (strat.preset.head_only or strat.preset.head == "dslda"):
+        tap = "pool"  # the head reads the pooled features
     net = cfg.build_network(scenario.classes, seed, tap=tap)
     strat.validate(net)
     return net
@@ -194,8 +196,7 @@ def cmd_run(args) -> int:
         for seed in seeds:
             net = cfg.build_network(scenario.classes, seed)
             cumulative[seed] = cumulative_baseline(
-                net, scenario, epochs=cfg.cumulative_epochs, lr=cfg.cumulative_lr,
-                seed=seed, record_timing=cfg.record_timing)
+                net, scenario, epochs=cfg.cumulative_epochs, lr=cfg.cumulative_lr, seed=seed)
 
     single = len(cfg.strategies) == 1 and len(seeds) == 1
     summary: dict = {"strategies": {}, "seeds": seeds}

@@ -1,7 +1,8 @@
 """Bounded rehearsal memory and its supporting machinery.
 
-The memory holds either raw input patterns ("native") or tap-layer
-activation volumes ("latent"). Each training batch contributes
+The memory keeps one float32 payload row per item, the raw pattern or
+what an update's ``payload_fn`` makes of it (tap activations for latent
+replay), and never reads it. Each training batch contributes
 ``h = min(capacity // i, |B_i|)`` randomly chosen items; once the memory
 is full an equal number of randomly chosen old items makes room, so the
 long-run contribution of every batch stays nearly balanced. No class
@@ -25,12 +26,9 @@ class ReplayMemory:
     their order, so sampled indices (and the RNG stream) mean what they
     meant for a list of items."""
 
-    def __init__(self, capacity: int, rng: SeededRng, kind: str = "native"):
-        if kind not in ("native", "latent"):
-            raise ConfigError(f"kind must be 'native' or 'latent', got {kind!r}")
+    def __init__(self, capacity: int, rng: SeededRng):
         if capacity < 0:
             raise ConfigError("capacity must be >= 0")
-        self.kind = kind
         self.capacity = int(capacity)
         self.rng = rng
         self.payloads = np.zeros(0, dtype=np.float32)

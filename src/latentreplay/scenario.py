@@ -71,15 +71,11 @@ class SessionBatch:
 
 @dataclass
 class NicScenario:
-    params: ScenarioParams
+    classes: int
     seed: int
     batches: list
     test_x: np.ndarray
     test_y: np.ndarray
-
-    @property
-    def classes(self) -> int:
-        return self.params.classes
 
     def union(self):
         x = np.concatenate([b.x for b in self.batches])
@@ -134,7 +130,7 @@ def generate_tinynic(params: ScenarioParams, seed: int) -> NicScenario:
     test_x = np.concatenate([test_sessions[k] for k in sorted(test_sessions)])
     test_y = np.concatenate([np.full(params.test_frames_per_instance, k[0], dtype=np.int64)
                              for k in sorted(test_sessions)])
-    return NicScenario(params, seed, batches, test_x, test_y)
+    return NicScenario(params.classes, seed, batches, test_x, test_y)
 
 
 # -- protocol ---------------------------------------------------------------
@@ -176,9 +172,8 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
     return rows
 
 
-def cumulative_baseline(net: Network, scenario: NicScenario,
-                        epochs: int = 8, mb: int = 32, lr: float = 0.001,
-                        seed: int = 0, record_timing: bool = True) -> MetricsRow:
+def cumulative_baseline(net: Network, scenario: NicScenario, epochs: int = 8,
+                        mb: int = 32, lr: float = 0.001, seed: int = 0) -> MetricsRow:
     """Upper bound: one joint training on the shuffled union of all batches."""
     x, y = scenario.union()
     perm = SeededRng(seed).spawn(0xC0).permutation(len(x))
@@ -187,8 +182,7 @@ def cumulative_baseline(net: Network, scenario: NicScenario,
     report = trainer.train_batch(x[perm], y[perm])
     acc = trainer.accuracy(scenario.test_x, scenario.test_y)
     return MetricsRow(batch_index=len(scenario.batches), test_accuracy=acc,
-                      train_ms=report.train_ms if record_timing else 0.0,
-                      rm_items=0)
+                      train_ms=report.train_ms, rm_items=0)
 
 
 # -- dataset and metrics IO ---------------------------------------------------
@@ -269,8 +263,7 @@ def load_dataset(manifest_path) -> NicScenario:
         raise TensorFormatError(f"{manifest_path}: missing key {exc.args[0]!r}") from None
     if not len(test_y):
         raise TensorFormatError(f"{manifest_path}: the test split has no labels")
-    params = ScenarioParams(classes=classes, pattern_shape=shape)
-    return NicScenario(params, manifest.get("seed", 0), batches, test_x, test_y)
+    return NicScenario(classes, manifest.get("seed", 0), batches, test_x, test_y)
 
 
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:

@@ -1,16 +1,17 @@
 """Continual-learning strategies and the per-batch training orchestrator.
 
-Strategies: naive fine-tuning, CWR* (double-memory head), AR1* (CWR*
-head plus Synaptic-Intelligence protection of the lower weights),
-AR1*free (AR1* with the protection switched off), and the DSLDA
-streaming baseline. Any SGD strategy can be combined with a native or
-latent rehearsal memory.
+Each strategy name (naive, CWR*, AR1*, AR1*free and the DSLDA streaming
+baseline) is one row of ``_PRESETS``: its head, whether Synaptic
+Intelligence protects the weights below the head, and whether only the
+head trains after batch 1. Any SGD strategy can be combined with a native
+or latent rehearsal memory; a latent memory pins the lower net from batch 2.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,16 @@ from .network import Network
 from .replay import ReplayMemory, compose_minibatch, l1_activation_penalty
 from .rng import SeededRng
 
-SGD_STRATEGIES = ("naive", "cwr*", "ar1*", "ar1*free")
-HEAD_MANAGED = ("cwr*", "ar1*", "ar1*free")
-STRATEGIES = SGD_STRATEGIES + ("dslda",)
+# head "plain", "cwr" (double memory) or "dslda" (LDA on the tap features);
+# si: SI guards the lower weights; head_only: only the head trains after batch 1
+_Preset = namedtuple("_Preset", "head si head_only")
+_PRESETS = {
+    "naive": _Preset("plain", si=False, head_only=False),
+    "cwr*": _Preset("cwr", si=False, head_only=True),
+    "ar1*": _Preset("cwr", si=True, head_only=False),
+    "ar1*free": _Preset("cwr", si=False, head_only=False),
+    "dslda": _Preset("dslda", si=False, head_only=False),
+}
 
 
 class CwrHead:
@@ -192,18 +200,22 @@ class StrategyConfig:
     lr_other: float = 0.0003
     sparsifier_alpha: float = 0.0       # L1 weight on the tap activations, batch 1 only
 
-    def validate(self, net: Network) -> None:
-        if self.strategy not in STRATEGIES:
+    @property
+    def preset(self) -> _Preset:
+        """The strategy name's row of ``_PRESETS``."""
+        if not isinstance(self.strategy, str) or self.strategy not in _PRESETS:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
+        return _PRESETS[self.strategy]
+
+    def validate(self, net: Network) -> None:
         if self.replay_kind not in (None, "native", "latent"):
             raise ConfigError(f"unknown replay kind {self.replay_kind!r}")
-        if self.strategy == "dslda" and self.replay_kind is not None:
+        if self.preset.head == "dslda" and self.replay_kind is not None:
             raise ConfigError("dslda streams features; it takes no replay memory")
-        if self.strategy == "cwr*":
-            above = net.layers[net.tap_index + 1:]
-            parameterized = [l.name for l in above if l.params]
+        if self.preset.head_only:
+            parameterized = [l.name for l in net.layers[net.tap_index + 1:] if l.params]
             if parameterized != [net.head_name]:
-                raise ConfigError("cwr* trains the head only: the tap must sit "
+                raise ConfigError(f"{self.strategy} trains the head only: the tap must sit "
                                   "directly below the output layer "
                                   f"(found {parameterized} above it)")
         require_int("epochs", self.epochs, 1)
@@ -234,20 +246,17 @@ class ContinualTrainer:
         self.cfg = cfg
         self.rng = SeededRng(seed).spawn(0x5A)
         self.batch_count = 0
-        self.rm: ReplayMemory | None = None
-        if cfg.replay_kind is not None:
-            self.rm = ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E),
-                                   kind=cfg.replay_kind)
+        self.rm = (ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E))
+                   if cfg.replay_kind is not None else None)
+        # latent replay rows enter at the tap and stay valid only while the lower net is pinned
+        self.replay_at_tap = cfg.replay_kind == "latent"
+        row = cfg.preset
+        self.pin_lower = row.head_only or self.replay_at_tap
         head = net.layer(net.head_name)
-        self.cwr = None
-        if cfg.strategy in HEAD_MANAGED:
-            self.cwr = CwrHead(head.in_features, head.units)
-        self.si = None
-        if cfg.strategy == "ar1*":
-            self.si = SiState(net)
-        self.dslda = None
-        if cfg.strategy == "dslda":
-            self.dslda = DsldaState(int(np.prod(net.tap_shape)), net.class_count)
+        self.cwr = CwrHead(head.in_features, head.units) if row.head == "cwr" else None
+        self.si = SiState(net) if row.si else None
+        self.dslda = (DsldaState(int(np.prod(net.tap_shape)), net.class_count)
+                      if row.head == "dslda" else None)
 
     # -- phases ----------------------------------------------------------
 
@@ -259,7 +268,7 @@ class ContinualTrainer:
             return
         net.lr_mult.update(dict.fromkeys(net.lr_mult, cfg.lr_other))
         net.lr_mult[net.head_name] = cfg.lr_head
-        if cfg.replay_kind == "latent" or cfg.strategy == "cwr*":
+        if self.pin_lower:
             net.freeze_below_tap()
 
     def _mask_head_grads(self, grads: dict, classes) -> None:
@@ -320,10 +329,9 @@ class ContinualTrainer:
                 nat_idx = perm[(it * n_nat + np.arange(n_nat)) % B]
                 x_nat, y_nat = x[nat_idx], y[nat_idx]
                 if n_rep:
-                    rep_idx = self.rm.sample(n_rep, self.rng)
-                    pay, y_rep = self.rm.stacked(rep_idx)
+                    pay, y_rep = self.rm.stacked(self.rm.sample(n_rep, self.rng))
                     y_joint = np.concatenate([y_nat, y_rep])
-                    if self.rm.kind == "latent":
+                    if self.replay_at_tap:
                         logits, tapped = net.forward_concat(x_nat, pay)
                     else:
                         logits, tapped = net.forward(np.concatenate([x_nat, pay]))
@@ -361,10 +369,8 @@ class ContinualTrainer:
             self.cwr.install(net.layer(net.head_name))
 
         if self.rm is not None and self.rm.capacity > 0:
-            payload_fn = None
-            if self.rm.kind == "latent":
-                payload_fn = lambda idxs: net.tap_activations(x[idxs])
-            self.rm.update(x, y, i, payload_fn=payload_fn)
+            self.rm.update(x, y, i, payload_fn=(lambda idxs: net.tap_activations(x[idxs]))
+                           if self.replay_at_tap else None)
 
         ms = (time.perf_counter() - t0) * 1000.0
         mean_loss = float(np.mean(trace)) if trace else float("nan")

@@ -137,7 +137,7 @@ def test_derived_table_matches_layer_shapes():
 def test_tap_pattern_size_matches_stored_latents():
     net = build_tinynic_network(classes=10, seed=3)
     table = LayerCostTable.from_network(net)
-    rm = ReplayMemory(8, SeededRng(4), kind="latent")
+    rm = ReplayMemory(8, SeededRng(4))
     x = SeededRng(5).normal((10, 1, 16, 16))
     rm.update(x, np.arange(10) % 10, 1,
               payload_fn=lambda idxs: net.tap_activations(x[idxs]))

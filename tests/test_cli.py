@@ -207,10 +207,9 @@ def test_run_invalid_json(tmp_path):
                                                                             classes="4")}}},
                                  {"config": {"scenario": {"generator": dict(SMALL_GEN,
                                                                             seed="x")}}},
+                                 {"config": {"seeds": [3, 3]}},
                                  {"config": {"network": {"builtin": "tinynic",
-                                                         "avg_rate": "x"}}},
-                                 {"config": {"network": {"builtin": "tinynic",
-                                                         "avg_rate": 1.5}}},
+                                                         "width": "x"}}},
                                  {"config": {"record_timing": "false"}},
                                  {"config": {"include_cumulative": "true"}},
                                  {"config": {"scenario": 5}}, {"config": {"network": 5}},
@@ -246,16 +245,17 @@ def test_run_bad_strategy_value_exits_1_without_traceback(tmp_path, bad):
     ("si_w1", "strategy block"), ("si_wi", "strategy block"),
     ("si_max_f", "strategy block"), ("dslda_shrink", "strategy block"),
     ("sparsifier", "strategy block"), ("track_drift", "config"),
-    ("cumulative_mb", "config"), ("tap", "network")],
+    ("cumulative_mb", "config"), ("tap", "network"), ("avg_rate", "network")],
     ids=["freeze_below_tap_moments", "store_patterns", "si_lambda", "si_xi", "si_w1", "si_wi",
-         "si_max_f", "dslda_shrink", "sparsifier", "track_drift", "cumulative_mb", "tap"])
+         "si_max_f", "dslda_shrink", "sparsifier", "track_drift", "cumulative_mb", "tap",
+         "avg_rate"])
 def test_run_config_with_removed_key_exits_1(tmp_path, key, where):
     """Keys whose mechanism is gone are unknown keys, not silently ignored:
     freezing below the tap always pins the BRN moments, aging drift and the
     patterns it kept are deleted, the strategy name alone says whether SI
     protects the lower weights, the SI and DSLDA constants, the cumulative
-    mini-batch and the builtin network's tap are their defaults, and the
-    sparsifier is one value, ``sparsifier_alpha``."""
+    mini-batch and the builtin network's tap and BRN moment rate are their
+    defaults, and the sparsifier is one value, ``sparsifier_alpha``."""
     block = {"name": "x", "strategy": "ar1*free", "replay_kind": "latent", "rm_capacity": 20,
              "epochs": 1, "mb": 16}
     top = {}
@@ -356,7 +356,7 @@ def test_run_spec_bad_brn_field_exits_1(tmp_path, capsys, field, value, message)
 
 
 @pytest.mark.parametrize("extra", [{"width": 64},
-                                   {"width": 64, "avg_rate": 0.5, "builtin": "nope"}],
+                                   {"width": 64, "builtin": "nope"}],
                          ids=["width", "all"])
 def test_run_spec_path_with_builtin_keys_exits_1(tmp_path, capsys, extra):
     """A spec_path network is the spec's; the builtin's keys would be ignored."""

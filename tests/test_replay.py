@@ -101,7 +101,7 @@ def test_origin_batch_occupancy_roughly_balanced():
 
 
 def test_latent_payloads_via_payload_fn():
-    rm = ReplayMemory(8, SeededRng(3), kind="latent")
+    rm = ReplayMemory(8, SeededRng(3))
     x, y = make_batch(10)
     calls = {}
 
@@ -118,7 +118,7 @@ def test_latent_payloads_via_payload_fn():
 
 
 def test_payload_footprint():
-    rm = ReplayMemory(6, SeededRng(4), kind="latent")
+    rm = ReplayMemory(6, SeededRng(4))
     x = SeededRng(5).normal((9, 2, 3))
     rm.update(x, np.arange(9), 1)
     assert rm.payloads.size == len(rm) * 6
@@ -157,7 +157,7 @@ def test_arrays_match_list_reference(latent):
         sizes = SeededRng(100 + seed).randint(1, 90, 12)
         capacity = 40 + 20 * seed
         ref = ListMemory(capacity, SeededRng(seed))
-        rm = ReplayMemory(capacity, SeededRng(seed), kind="latent" if latent else "native")
+        rm = ReplayMemory(capacity, SeededRng(seed))
         for i, n in enumerate(sizes, start=1):
             x, y = make_batch(int(n), label_base=i, dim=3, seed=10 * seed + i)
             payload_fn = (lambda idxs, x=x: x[idxs] * 2.0 - 1.0) if latent else None

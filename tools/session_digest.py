@@ -13,6 +13,16 @@ checkouts that print the same lines trained bit-identical streams. From
 the root of a checkout:
 
     python3 tools/session_digest.py --workload latent-relu3-rm500 --seed 2024
+
+A change keeps the same bits when two checks agree between its checkout
+and its parent's: this tool's digests for every workload at scenario
+seeds 2024 and 7, and ``diff -r`` of the two output directories of
+
+    PYTHONPATH=src python3 -m latentreplay run \\
+        --config tools/reference_blocks.json --out <dir>
+
+whose blocks also cover the strategies and memories the workloads do
+not (cwr* with and without a memory, dslda, naive, native memories).
 """
 
 from __future__ import annotations
