@@ -172,8 +172,9 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
     return rows
 
 
-def cumulative_baseline(net: Network, scenario: NicScenario, epochs: int = 8,
-                        mb: int = 32, lr: float = 0.001, seed: int = 0) -> MetricsRow:
+def cumulative_baseline(net: Network, scenario: NicScenario,
+                        epochs: int = 8, mb: int = 32, lr: float = 0.001,
+                        seed: int = 0) -> MetricsRow:
     """Upper bound: one joint training on the shuffled union of all batches."""
     x, y = scenario.union()
     perm = SeededRng(seed).spawn(0xC0).permutation(len(x))
