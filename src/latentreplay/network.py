@@ -137,7 +137,10 @@ class Network:
         return self._forward(x, None, mode)
 
     def forward_from(self, latent: np.ndarray, mode: str = TRAIN) -> np.ndarray:
-        """Run only the layers strictly above the tap."""
+        """Run only the layers strictly above the tap; in eval mode in
+        chunks, as ``predict`` runs the whole net."""
+        if mode == EVAL:
+            return self._chunked(self.layers[self.tap_index + 1:], latent, self._check_latent)
         return self._forward(None, latent, mode)[0]
 
     def forward_concat(self, x_native: np.ndarray, latent_replay: np.ndarray,
@@ -151,19 +154,19 @@ class Network:
 
     def tap_activations(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode activations at the tap (no caches, no moment updates)."""
-        return self._chunked(self.layers[:self.tap_index + 1], x)
+        return self._chunked(self.layers[:self.tap_index + 1], x, self._check_input)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode logits, computed in chunks."""
-        return self._chunked(self.layers, x)
+        return self._chunked(self.layers, x, self._check_input)
 
-    def _chunked(self, layers, x):
-        """Eval-mode output of ``layers`` (the net's first k) for rows
-        ``x``, run in passes of at most ``_EVAL_ROWS`` rows that each fill
-        their slice of one float32 output."""
+    def _chunked(self, layers, x, check):
+        """Eval-mode output of ``layers`` (consecutive layers of the net)
+        for rows ``x``, which ``check`` validates, run in passes of at most
+        ``_EVAL_ROWS`` rows that each fill their slice of one float32 output."""
         if len(x) == 0:
             raise ShapeError("empty batch: no rows to evaluate")
-        self._check_input(x)
+        check(x)
         out = np.empty((len(x),) + self._shapes[layers[-1].name], dtype=np.float32)
         for lo in range(0, len(x), _EVAL_ROWS):
             out[lo:lo + _EVAL_ROWS] = self._run(layers, x[lo:lo + _EVAL_ROWS], EVAL)

@@ -5,6 +5,10 @@ baseline) is one row of ``_PRESETS``: its head, whether Synaptic
 Intelligence protects the weights below the head, and whether only the
 head trains after batch 1. Any SGD strategy can be combined with a native
 or latent rehearsal memory; a latent memory pins the lower net from batch 2.
+
+A fixed lower net (pinned, from batch 2 on, or DSLDA's, which never trains)
+sees each native row once per batch and the test set once per run: the
+trainer keeps their tap activations and runs only the layers above the tap.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, require_finite, require_int
 from .kernels import softmax_xent
+from .layers import EVAL
 from .network import Network
 from .replay import ReplayMemory, compose_minibatch, l1_activation_penalty
 from .rng import SeededRng
@@ -257,6 +262,13 @@ class ContinualTrainer:
         self.si = SiState(net) if row.si else None
         self.dslda = (DsldaState(int(np.prod(net.tap_shape)), net.class_count)
                       if row.head == "dslda" else None)
+        self._test_taps = None  # (copy of the last evaluated x, its tap activations)
+
+    @property
+    def lower_fixed(self) -> bool:
+        """The layers up to the tap are a fixed function: DSLDA never trains
+        them, and a pinned lower net stops at batch 2."""
+        return self.dslda is not None or (self.pin_lower and self.batch_count >= 2)
 
     # -- phases ----------------------------------------------------------
 
@@ -321,23 +333,29 @@ class ContinualTrainer:
         n_nat = max(n_nat, 1)
         iterations = -(-B // n_nat)
         sparsify = cfg.sparsifier_alpha != 0.0 and i == 1
+        # a fixed lower net runs once per native row; every step enters at the tap
+        taps = net.tap_activations(x) if self.lower_fixed else None
 
         trace = []
         for _ in range(cfg.epochs):
             perm = self.rng.permutation(B)
             for it in range(iterations):
                 nat_idx = perm[(it * n_nat + np.arange(n_nat)) % B]
-                x_nat, y_nat = x[nat_idx], y[nat_idx]
+                pay, y_joint = None, y[nat_idx]
                 if n_rep:
                     pay, y_rep = self.rm.stacked(self.rm.sample(n_rep, self.rng))
-                    y_joint = np.concatenate([y_nat, y_rep])
-                    if self.replay_at_tap:
-                        logits, tapped = net.forward_concat(x_nat, pay)
-                    else:
-                        logits, tapped = net.forward(np.concatenate([x_nat, pay]))
+                    y_joint = np.concatenate([y_joint, y_rep])
+                if taps is not None:
+                    # a native memory's rows still cross the lower net
+                    joint = taps[nat_idx] if pay is None else np.concatenate(
+                        [taps[nat_idx], pay if self.replay_at_tap else net.tap_activations(pay)])
+                    logits, tapped = net.forward_concat(x[:0], joint)
+                elif pay is None:
+                    logits, tapped = net.forward(x[nat_idx])
+                elif self.replay_at_tap:
+                    logits, tapped = net.forward_concat(x[nat_idx], pay)
                 else:
-                    logits, tapped = net.forward(x_nat)
-                    y_joint = y_nat
+                    logits, tapped = net.forward(np.concatenate([x[nat_idx], pay]))
                 loss, dlogits = softmax_xent(logits, y_joint)
                 tap_extra = None
                 if sparsify:
@@ -369,8 +387,9 @@ class ContinualTrainer:
             self.cwr.install(net.layer(net.head_name))
 
         if self.rm is not None and self.rm.capacity > 0:
-            self.rm.update(x, y, i, payload_fn=(lambda idxs: net.tap_activations(x[idxs]))
-                           if self.replay_at_tap else None)
+            self.rm.update(x, y, i, payload_fn=(
+                lambda idxs: net.tap_activations(x[idxs]) if taps is None else taps[idxs])
+                if self.replay_at_tap else None)
 
         ms = (time.perf_counter() - t0) * 1000.0
         mean_loss = float(np.mean(trace)) if trace else float("nan")
@@ -379,13 +398,31 @@ class ContinualTrainer:
 
     # -- prediction --------------------------------------------------------
 
+    def _tap_activations(self, x: np.ndarray) -> np.ndarray:
+        """The tap activations of ``x``, kept for the next call on equal
+        content; only a fixed lower net's are kept, as one copy of ``x``
+        and its activations."""
+        cached = self._test_taps
+        if cached is not None and cached[0].dtype == x.dtype and np.array_equal(cached[0], x):
+            return cached[1]
+        taps = self.net.tap_activations(x)
+        self._test_taps = (x.copy(), taps) if self.lower_fixed else None
+        return taps
+
+    def predict_logits(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode logits of ``x``; a fixed lower net's pass starts from
+        the kept tap activations, with the bits of ``net.predict``."""
+        if not self.lower_fixed:
+            return self.net.predict(x)
+        return self.net.forward_from(self._tap_activations(x), mode=EVAL)
+
     def predict_labels(self, x: np.ndarray) -> np.ndarray:
         """Top-1 labels, scored over all classes."""
         if self.dslda is not None:
-            feats = self.net.tap_activations(x).reshape(len(x), -1)
+            feats = self._tap_activations(x).reshape(len(x), -1)
             return self.dslda.predict_batch(feats)
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = self.net.predict(x)
+            logits = self.predict_logits(x)
         if not np.isfinite(logits).all():
             raise StateError(f"non-finite logits after batch {self.batch_count}: "
                              "the run diverged")

@@ -595,6 +595,77 @@ def test_strategy_presets_build_their_parts_and_pin_the_lower_net(strategy, late
     assert brns and all(l.moments_frozen == pinned for l in brns)
 
 
+# case: (strategy config, tap)
+FIXED_LOWER_CASES = {
+    "ar1*free-latent-relu3": (dict(strategy="ar1*free", replay_kind="latent",
+                                   rm_capacity=40), "relu3"),
+    "ar1*-latent-pool": (dict(strategy="ar1*", replay_kind="latent", rm_capacity=40), "pool"),
+    "cwr*": (dict(strategy="cwr*"), "pool"),
+    "cwr*-native": (dict(strategy="cwr*", replay_kind="native", rm_capacity=40), "pool"),
+    "dslda": (dict(strategy="dslda"), "pool"),
+}
+
+
+@pytest.mark.parametrize("case", FIXED_LOWER_CASES)
+def test_fixed_lower_net_sees_native_rows_once_per_batch_and_test_set_once(case):
+    """Rows entering the first layer: from batch 2 on (DSLDA's lower net
+    never trains) each native row once per batch, plus the rows drawn
+    from a native memory, and the test set only at its first evaluation
+    after the lower net is fixed."""
+    kw, tap = FIXED_LOWER_CASES[case]
+    net = build_tinynic_network(classes=6, seed=34, width=4, tap=tap)
+    trainer = ContinualTrainer(net, StrategyConfig(epochs=2, mb=8, **kw), seed=11)
+    rows, replayed = [], []
+    first = net.layers[0]
+    forward = first.forward
+    first.forward = lambda x, mode: rows.append(len(x)) or forward(x, mode)
+    if kw.get("replay_kind") == "native":
+        stacked = trainer.rm.stacked
+        trainer.rm.stacked = lambda idx: replayed.append(len(idx)) or stacked(idx)
+    test_x = SeededRng(35).normal((20, 1, 16, 16))
+    test_y = np.arange(20) % 6
+    evals = []
+    for i, (x, y) in enumerate(tinynic_batches(4, per_batch=16, seed=36), start=1):
+        rows.clear()
+        replayed.clear()
+        trainer.train_batch(x, y)
+        if i >= 2:
+            assert sum(rows) == len(x) + sum(replayed), i
+        rows.clear()
+        trainer.accuracy(test_x, test_y)
+        evals.append(sum(rows))
+    assert evals == ([20, 0, 0, 0] if case == "dslda" else [20, 20, 0, 0])
+    assert case != "cwr*-native" or replayed
+
+
+@pytest.mark.parametrize("case", ["ar1*free-latent-relu3", "cwr*-native"])
+def test_cached_evaluation_has_predicts_bits_and_follows_content(case):
+    kw, tap = FIXED_LOWER_CASES[case]
+    scen = generate_tinynic(SMALL_STREAM, seed=4)
+    net = build_tinynic_network(classes=4, seed=1, width=4, tap=tap)
+    cfg = StrategyConfig(epochs=1, mb=16, lr_first=0.03, lr_head=0.09, lr_other=0.009, **kw)
+    trainer = ContinualTrainer(net, cfg, seed=2)
+    test_x = np.concatenate([scen.test_x] * 3)  # more rows than one eval chunk
+
+    def check(x):
+        want = net.predict(x)
+        assert np.array_equal(trainer.predict_logits(x).view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(trainer.predict_labels(x), want.argmax(axis=1))
+        return want
+
+    for batch in scen.batches:
+        trainer.train_batch(batch.x, batch.y)
+        before = check(test_x)
+    assert trainer.lower_fixed and len(scen.batches) > 2
+    other = SeededRng(38).normal(test_x.shape)
+    assert not np.array_equal(check(other), before)
+    check(test_x)
+    test_x[5] = other[5]  # in place: same array, same shape, new content
+    after = check(test_x)
+    assert not np.array_equal(after[5], before[5])
+    assert np.array_equal(np.delete(after, 5, axis=0), np.delete(before, 5, axis=0))
+
+
 def test_config_errors():
     net = build_tinynic_network(classes=6, seed=27)
     with pytest.raises(ConfigError):
