@@ -262,7 +262,7 @@ class ContinualTrainer:
         self.si = SiState(net) if row.si else None
         self.dslda = (DsldaState(int(np.prod(net.tap_shape)), net.class_count)
                       if row.head == "dslda" else None)
-        self._test_taps = None  # (copy of the last evaluated x, its tap activations)
+        self._eval_taps = None  # (copy of the last evaluated x, its tap activations)
 
     @property
     def lower_fixed(self) -> bool:
@@ -341,21 +341,22 @@ class ContinualTrainer:
             perm = self.rng.permutation(B)
             for it in range(iterations):
                 nat_idx = perm[(it * n_nat + np.arange(n_nat)) % B]
-                pay, y_joint = None, y[nat_idx]
+                x_nat, y_nat = x[nat_idx], y[nat_idx]
+                pay, y_joint = None, y_nat
                 if n_rep:
                     pay, y_rep = self.rm.stacked(self.rm.sample(n_rep, self.rng))
-                    y_joint = np.concatenate([y_joint, y_rep])
+                    y_joint = np.concatenate([y_nat, y_rep])
                 if taps is not None:
                     # a native memory's rows still cross the lower net
                     joint = taps[nat_idx] if pay is None else np.concatenate(
                         [taps[nat_idx], pay if self.replay_at_tap else net.tap_activations(pay)])
-                    logits, tapped = net.forward_concat(x[:0], joint)
+                    logits, tapped = net.forward_concat(x_nat[:0], joint)
                 elif pay is None:
-                    logits, tapped = net.forward(x[nat_idx])
+                    logits, tapped = net.forward(x_nat)
                 elif self.replay_at_tap:
-                    logits, tapped = net.forward_concat(x[nat_idx], pay)
+                    logits, tapped = net.forward_concat(x_nat, pay)
                 else:
-                    logits, tapped = net.forward(np.concatenate([x[nat_idx], pay]))
+                    logits, tapped = net.forward(np.concatenate([x_nat, pay]))
                 loss, dlogits = softmax_xent(logits, y_joint)
                 tap_extra = None
                 if sparsify:
@@ -398,15 +399,15 @@ class ContinualTrainer:
 
     # -- prediction --------------------------------------------------------
 
-    def _tap_activations(self, x: np.ndarray) -> np.ndarray:
+    def _eval_tap_activations(self, x: np.ndarray) -> np.ndarray:
         """The tap activations of ``x``, kept for the next call on equal
         content; only a fixed lower net's are kept, as one copy of ``x``
         and its activations."""
-        cached = self._test_taps
+        cached = self._eval_taps
         if cached is not None and cached[0].dtype == x.dtype and np.array_equal(cached[0], x):
             return cached[1]
         taps = self.net.tap_activations(x)
-        self._test_taps = (x.copy(), taps) if self.lower_fixed else None
+        self._eval_taps = (x.copy(), taps) if self.lower_fixed else None
         return taps
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
@@ -414,12 +415,12 @@ class ContinualTrainer:
         the kept tap activations, with the bits of ``net.predict``."""
         if not self.lower_fixed:
             return self.net.predict(x)
-        return self.net.forward_from(self._tap_activations(x), mode=EVAL)
+        return self.net.forward_from(self._eval_tap_activations(x), mode=EVAL)
 
     def predict_labels(self, x: np.ndarray) -> np.ndarray:
         """Top-1 labels, scored over all classes."""
         if self.dslda is not None:
-            feats = self._tap_activations(x).reshape(len(x), -1)
+            feats = self._eval_tap_activations(x).reshape(len(x), -1)
             return self.dslda.predict_batch(feats)
         with np.errstate(over="ignore", invalid="ignore"):
             logits = self.predict_logits(x)
