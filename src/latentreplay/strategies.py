@@ -13,6 +13,7 @@ trainer keeps their tap activations and runs only the layers above the tap.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from collections import namedtuple
@@ -262,7 +263,7 @@ class ContinualTrainer:
         self.si = SiState(net) if row.si else None
         self.dslda = (DsldaState(int(np.prod(net.tap_shape)), net.class_count)
                       if row.head == "dslda" else None)
-        self._eval_taps = None  # (copy of the last evaluated x, its tap activations)
+        self._eval_taps = None  # (content key of the last evaluated x, its tap activations)
 
     @property
     def lower_fixed(self) -> bool:
@@ -400,15 +401,14 @@ class ContinualTrainer:
     # -- prediction --------------------------------------------------------
 
     def _eval_tap_activations(self, x: np.ndarray) -> np.ndarray:
-        """The tap activations of ``x``, kept for the next call on equal
-        content; only a fixed lower net's are kept, as one copy of ``x``
-        and its activations."""
-        cached = self._eval_taps
-        if cached is not None and cached[0].dtype == x.dtype and np.array_equal(cached[0], x):
-            return cached[1]
-        taps = self.net.tap_activations(x)
-        self._eval_taps = (x.copy(), taps) if self.lower_fixed else None
-        return taps
+        """The tap activations of ``x`` under a fixed lower net, kept for
+        the next call on the same content. The key is the shape, dtype and
+        SHA-256 of ``x``: a copy of ``x`` as the key would add its size to
+        the run's peak memory, on top of the activations themselves."""
+        key = (x.shape, x.dtype.str, hashlib.sha256(np.ascontiguousarray(x).data).digest())
+        if self._eval_taps is None or self._eval_taps[0] != key:
+            self._eval_taps = (key, self.net.tap_activations(x))
+        return self._eval_taps[1]
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode logits of ``x``; a fixed lower net's pass starts from
