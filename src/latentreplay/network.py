@@ -167,7 +167,8 @@ class Network:
         if len(x) == 0:
             raise ShapeError("empty batch: no rows to evaluate")
         check(x)
-        out = np.empty((len(x),) + self._shapes[layers[-1].name], dtype=np.float32)
+        shape = self._shapes[layers[-1].name] if layers else x.shape[1:]  # a tap at the head
+        out = np.empty((len(x),) + shape, dtype=np.float32)
         for lo in range(0, len(x), _EVAL_ROWS):
             out[lo:lo + _EVAL_ROWS] = self._run(layers, x[lo:lo + _EVAL_ROWS], EVAL)
         return out

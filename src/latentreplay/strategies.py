@@ -348,14 +348,13 @@ class ContinualTrainer:
                     pay, y_rep = self.rm.stacked(self.rm.sample(n_rep, self.rng))
                     y_joint = np.concatenate([y_nat, y_rep])
                 if taps is not None:
-                    # a native memory's rows still cross the lower net
+                    # a latent memory holds rows only from batch 2 on, when the
+                    # lower net is fixed; a native memory's rows still cross it
                     joint = taps[nat_idx] if pay is None else np.concatenate(
                         [taps[nat_idx], pay if self.replay_at_tap else net.tap_activations(pay)])
                     logits, tapped = net.forward_concat(x_nat[:0], joint)
                 elif pay is None:
                     logits, tapped = net.forward(x_nat)
-                elif self.replay_at_tap:
-                    logits, tapped = net.forward_concat(x_nat, pay)
                 else:
                     logits, tapped = net.forward(np.concatenate([x_nat, pay]))
                 loss, dlogits = softmax_xent(logits, y_joint)
