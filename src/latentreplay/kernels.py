@@ -3,19 +3,19 @@
 All kernels take and return float32 arrays but accumulate contractions
 in float64, so finite-difference gradient checks at 1e-3 relative
 tolerance stay meaningful. Reduction order is fixed by the shapes alone,
-so outputs are bit-identical across repeated calls:
+so outputs are bit-identical across repeated calls.
 
-- conv2d is one batched GEMM of a float64 im2col matrix
-  ``[groups, n*ho*wo, c_g*kh*kw]`` with the kernel (Chellapilla et al.
-  2006, "High Performance Convolutional Neural Networks for Document
-  Processing"). The matrix is one reshape copy of a strided window view
-  of the padded input.
-- conv2d_backward takes one of two paths, picked by the kernel's shape.
-  Dense and grouped convs get dkern as ``dy^T @ cols`` and dx as
-  ``dy @ kern``, scatter-added over the kh*kw taps in (i, j) order.
-  Depthwise convs (one channel in and one filter per group) loop over
-  the taps on the padded float64 input: a per-channel sum for dkern and
-  a channel-wise product added into dx.
+Convolutions are GEMMs on the im2col matrix ``[groups, n*ho*wo,
+c_g*kh*kw]`` of the input (Chellapilla et al. 2006, "High Performance
+Convolutional Neural Networks for Document Processing"): one ``np.take``
+from a ``[groups, n, c_g*h*w + 1]`` copy of x, whose last column is the
+zero that padding reads, through a cached per-sample index. conv2d is
+``cols @ kern^T`` and dkern ``dy^T @ cols``, one GEMM per group for every
+conv kind. Float32 inputs widen to float64 exactly, so a float32 matrix
+widened a group at a time at each GEMM gives a float64 matrix's bits. dx
+adds each kernel tap's plane, in (i, j) order, into a padded float64
+buffer with the batch innermost: dy times the tap's weights for a
+depthwise conv (one channel in, one filter per group), else ``dy @ kern``.
 
 conv2d returns a C-contiguous array. Batch Renormalization reduces its
 float64 moments over axes (0, 2, 3) in memory order, so the same values
@@ -23,6 +23,8 @@ in another layout give different moving moments.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -41,106 +43,102 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
     span = size + 2 * pad - k
     if span < 0 or span % stride != 0:
-        raise ShapeError(
-            f"non-integral output extent: size={size} kernel={k} stride={stride} pad={pad}"
-        )
+        raise ShapeError(f"non-integral output extent: size={size} kernel={k} "
+                         f"stride={stride} pad={pad}")
     return span // stride + 1
 
 
-def _padded64(x: np.ndarray, pad: int) -> np.ndarray:
-    if not pad:
-        return x.astype(np.float64, order="C")
+def _conv_extents(x_shape, kern_shape, stride, pad, groups) -> tuple[int, int]:
+    """(ho, wo) of conv2d for these shapes; ShapeError if they do not fit."""
+    (n, c, h, w), (f, c_g, kh, kw) = x_shape, kern_shape
+    if c % groups or f % groups or c_g * groups != c:
+        raise ShapeError(f"kernel {kern_shape} does not fit input {x_shape} in {groups} groups")
+    return conv_out_extent(h, kh, stride, pad), conv_out_extent(w, kw, stride, pad)
+
+
+@functools.cache
+def _gather_index(c_g, h, w, kh, kw, stride, pad) -> np.ndarray:
+    """Where one sample's (ho, wo, c, i, j) entries sit in its inputs + a trailing zero."""
+    ho, wo = conv_out_extent(h, kh, stride, pad), conv_out_extent(w, kw, stride, pad)
+    oi, oj, ch, i, j = np.ix_(range(ho), range(wo), range(c_g), range(kh), range(kw))
+    y, x = oi * stride + i - pad, oj * stride + j - pad
+    inside = (0 <= y) & (y < h) & (0 <= x) & (x < w)
+    return np.where(inside, (ch * h + y) * w + x, c_g * h * w).reshape(-1)
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0,
+           groups: int = 1) -> np.ndarray:
+    """[n, c, h, w] -> C-contiguous [groups, n*ho*wo, c_g*kh*kw] in x's
+    dtype, rows in (n, ho, wo) order and columns in (c, i, j) order."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    return xp
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.ndarray:
-    """C-contiguous [n, c, hp, wp] -> [groups, n*ho*wo, c_g*kh*kw], rows in
-    (n, ho, wo) order and columns in (c, i, j) order."""
-    n, c, hp, wp = xp.shape
     c_g = c // groups
-    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    s0, s1, s2, s3 = xp.strides
-    win = np.ndarray((groups, n, ho, wo, c_g, kh, kw), xp.dtype, buffer=xp,
-                     strides=(s1 * c_g, s0, s2 * stride, s3 * stride, s1, s2, s3))
-    return win.reshape(groups, n * ho * wo, -1)
+    rows = np.zeros((groups, n, c_g * h * w + 1), dtype=x.dtype)
+    rows[..., :-1] = x.reshape(n, groups, -1).swapaxes(0, 1)
+    cols = np.take(rows.reshape(groups * n, -1), _gather_index(c_g, h, w, kh, kw, stride, pad), 1)
+    return cols.reshape(groups, -1, c_g * kh * kw)
+
+
+def _per_group(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The float64 products a[g] @ b[g], widening one group at a time."""
+    out = np.empty((len(a), a.shape[1], b.shape[2]))
+    for g in range(len(a)):
+        np.matmul(a[g], b[g], out=out[g], dtype=np.float64)
+    return out
 
 
 def conv2d(x: np.ndarray, kern: np.ndarray, stride: int = 1, pad: int = 0,
            groups: int = 1) -> np.ndarray:
-    """Grouped 2-D cross-correlation as one batched im2col GEMM.
+    """Grouped 2-D cross-correlation as an im2col GEMM.
 
     x: [n, c, h, w]; kern: [f, c/groups, kh, kw]. groups == c with a
     single-channel kernel gives a depthwise convolution. Returns a
     C-contiguous [n, f, ho, wo] array.
     """
-    n, c, h, w = x.shape
-    f, c_g, kh, kw = kern.shape
-    if c % groups or f % groups:
-        raise ShapeError(f"groups={groups} must divide channels c={c} and filters f={f}")
-    if c_g != c // groups:
-        raise ShapeError(f"kernel expects {c_g} channels/group, input has {c // groups}")
-    ho = conv_out_extent(h, kh, stride, pad)
-    wo = conv_out_extent(w, kw, stride, pad)
-    cols = _im2col(_padded64(x, pad), kh, kw, stride, groups)
+    ho, wo = _conv_extents(x.shape, kern.shape, stride, pad, groups)
+    return conv2d_from_cols(im2col(x, *kern.shape[2:], stride, pad, groups), kern, ho, wo)
+
+
+def conv2d_from_cols(cols: np.ndarray, kern: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """conv2d's output from the im2col matrix of its input."""
+    groups, f = len(cols), len(kern)
     kg = kern.reshape(groups, f // groups, -1).astype(np.float64)
-    out = (cols @ kg.transpose(0, 2, 1)).reshape(groups, n, ho, wo, f // groups)
-    return np.ascontiguousarray(out.transpose(1, 0, 4, 2, 3).reshape(n, f, ho, wo),
-                                dtype=np.float32)
+    out = _per_group(cols, kg.swapaxes(1, 2)).reshape(groups, -1, ho * wo, f // groups)
+    return np.ascontiguousarray(out.transpose(1, 0, 3, 2), dtype=np.float32).reshape(-1, f, ho, wo)
 
 
 def conv2d_backward(x: np.ndarray, kern: np.ndarray, dy: np.ndarray,
                     stride: int = 1, pad: int = 0, groups: int = 1):
     """Gradients (dx, dkern) of conv2d for upstream gradient dy."""
-    return _conv2d_grads(x, kern, dy, stride, pad, groups, need_dx=True)
+    _conv_extents(x.shape, kern.shape, stride, pad, groups)
+    cols = im2col(x, *kern.shape[2:], stride, pad, groups)
+    return conv2d_backward_from_cols(cols, x.shape, kern, dy, stride, pad)
 
 
-def conv2d_weight_grad(x: np.ndarray, kern: np.ndarray, dy: np.ndarray,
-                       stride: int = 1, pad: int = 0, groups: int = 1) -> np.ndarray:
-    """dkern of conv2d alone, for a layer whose input gradient is unused."""
-    return _conv2d_grads(x, kern, dy, stride, pad, groups, need_dx=False)[1]
-
-
-def _conv2d_grads(x, kern, dy, stride, pad, groups, need_dx):
-    n, c, h, w = x.shape
-    f, c_g, kh, kw = kern.shape
-    f_g = f // groups
-    _, _, ho, wo = dy.shape
-    xp = _padded64(x, pad)
-    dxp = np.zeros_like(xp) if need_dx else None
-
-    def tap(i, j):
-        """The strided [n, c, ho, wo] plane of xp that kernel tap (i, j) reads."""
-        return (slice(None), slice(None), slice(i, i + stride * ho, stride),
-                slice(j, j + stride * wo, stride))
-
-    if c_g == f_g == 1:
-        dy64 = dy.astype(np.float64)
-        k64 = kern.reshape(1, f, kh, kw).astype(np.float64)
-        dkern = np.empty((f, kh, kw), dtype=np.float64)
-        for i in range(kh):
-            for j in range(kw):
-                dkern[:, i, j] = np.einsum("nchw,nchw->c", xp[tap(i, j)], dy64)
-                if need_dx:
-                    dxp[tap(i, j)] += dy64 * k64[:, :, i, j, None, None]
-    else:
-        dyg = dy.reshape(n, groups, f_g, ho * wo).astype(np.float64)
-        dyg = dyg.transpose(1, 0, 3, 2).reshape(groups, n * ho * wo, f_g)
-        dkern = dyg.transpose(0, 2, 1) @ _im2col(xp, kh, kw, stride, groups)
-        if need_dx:
-            kg = kern.reshape(groups, f_g, -1).astype(np.float64)
-            dcols = (dyg @ kg).reshape(groups, n, ho, wo, c_g, kh, kw)
-            for i in range(kh):
-                for j in range(kw):
-                    plane = dcols[..., i, j].transpose(1, 0, 4, 2, 3)
-                    dxp[tap(i, j)] += plane.reshape(n, c, ho, wo)
-    dkern = dkern.reshape(f, c_g, kh, kw).astype(np.float32)
+def conv2d_backward_from_cols(cols: np.ndarray, x_shape: tuple, kern: np.ndarray,
+                              dy: np.ndarray, stride: int = 1, pad: int = 0,
+                              need_dx: bool = True):
+    """(dx, dkern) of conv2d from x's shape and im2col matrix; dx is None unless need_dx."""
+    (n, c, h, w), (f, c_g, kh, kw), groups = x_shape, kern.shape, len(cols)
+    ho, wo = _conv_extents(x_shape, kern.shape, stride, pad, groups)
+    if dy.shape != (n, f, ho, wo):
+        raise ShapeError(f"dy shape {dy.shape} != conv2d output shape {(n, f, ho, wo)}")
+    dyg = dy.reshape(n, groups, -1, ho * wo).astype(np.float64)
+    dyg = dyg.transpose(1, 0, 3, 2).reshape(groups, n * ho * wo, -1)
+    dkern = _per_group(dyg.swapaxes(1, 2), cols).reshape(f, c_g, kh, kw).astype(np.float32)
     if not need_dx:
         return None, dkern
-    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
-    return dx.astype(np.float32), dkern
+    if c_g == 1 and f == groups:
+        dyt = np.ascontiguousarray(dy.transpose(1, 2, 3, 0), dtype=np.float64)
+        planes = (dyt * k for k in kern.reshape(c, -1, 1, 1, 1).astype(np.float64).swapaxes(0, 1))
+    else:
+        dcols = dyg @ kern.reshape(groups, -1, c_g * kh * kw).astype(np.float64)
+        dcols = dcols.reshape(groups, n, ho, wo, c_g, kh * kw).transpose(5, 0, 4, 2, 3, 1)
+        planes = (d.reshape(c, ho, wo, n) for d in dcols)
+    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n))
+    for (i, j), plane in zip(np.ndindex(kh, kw), planes):
+        dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += plane
+    dx = dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+    return np.ascontiguousarray(dx, dtype=np.float32), dkern
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

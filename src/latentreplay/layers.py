@@ -92,14 +92,16 @@ class Conv(Layer):
         return (self.out_channels, ho, wo)
 
     def forward(self, x, mode):
-        y = kernels.conv2d(x, self.params["w"], self.stride, self.pad, self.groups)
-        return y, x
+        """A train-mode pass keeps the im2col matrix of x for backward."""
+        if mode != TRAIN:
+            return kernels.conv2d(x, self.params["w"], self.stride, self.pad, self.groups), None
+        _, ho, wo = self.out_shape(x.shape[1:])
+        cols = kernels.im2col(x, self.kernel, self.kernel, self.stride, self.pad, self.groups)
+        return kernels.conv2d_from_cols(cols, self.params["w"], ho, wo), (cols, x.shape)
 
     def backward(self, dy, cache, need_dx=True):
-        args = (cache, self.params["w"], dy, self.stride, self.pad, self.groups)
-        if not need_dx:
-            return None, {"w": kernels.conv2d_weight_grad(*args)}
-        dx, dw = kernels.conv2d_backward(*args)
+        dx, dw = kernels.conv2d_backward_from_cols(*cache, self.params["w"], dy, self.stride,
+                                                   self.pad, need_dx)
         return dx, {"w": dw}
 
 

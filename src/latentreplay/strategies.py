@@ -6,9 +6,9 @@ Intelligence protects the weights below the head, and whether only the
 head trains after batch 1. Any SGD strategy can be combined with a native
 or latent rehearsal memory; a latent memory pins the lower net from batch 2.
 
-A fixed lower net (pinned, from batch 2 on, or DSLDA's, which never trains)
-sees each native row once per batch and the test set once per run: the
-trainer keeps their tap activations and runs only the layers above the tap.
+A fixed lower net (pinned once batch 1 has trained it, or DSLDA's, which
+never trains) sees each native row once per batch and the test set once per
+run: the trainer keeps their tap activations and runs only the layers above.
 """
 
 from __future__ import annotations
@@ -267,9 +267,9 @@ class ContinualTrainer:
 
     @property
     def lower_fixed(self) -> bool:
-        """The layers up to the tap are a fixed function: DSLDA never trains
-        them, and a pinned lower net stops at batch 2."""
-        return self.dslda is not None or (self.pin_lower and self.batch_count >= 2)
+        """The layers up to the tap will not train again: DSLDA never trains
+        them, and a pinned lower net trains in batch 1 alone."""
+        return self.dslda is not None or (self.pin_lower and self.batch_count >= 1)
 
     # -- phases ----------------------------------------------------------
 
@@ -306,7 +306,7 @@ class ContinualTrainer:
     # and is reported once, as a StateError
     @np.errstate(over="ignore", invalid="ignore")
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> BatchReport:
-        i = self.batch_count + 1
+        i, fixed = self.batch_count + 1, self.lower_fixed  # fixed before this batch
         y = np.asarray(y, dtype=np.int64)
         if len(x) == 0:
             raise ConfigError("empty training batch")
@@ -335,7 +335,7 @@ class ContinualTrainer:
         iterations = -(-B // n_nat)
         sparsify = cfg.sparsifier_alpha != 0.0 and i == 1
         # a fixed lower net runs once per native row; every step enters at the tap
-        taps = net.tap_activations(x) if self.lower_fixed else None
+        taps = net.tap_activations(x) if fixed else None
 
         trace = []
         for _ in range(cfg.epochs):

@@ -1,10 +1,27 @@
-"""Shared test helpers: finite-difference gradient checking, and bad
+"""Shared test helpers: finite-difference gradient checking, the conv
+shapes and bitwise comparison the kernel and layer tests share, and bad
 values for a saved scenario's manifest."""
 
 import numpy as np
 import pytest
 
 from latentreplay.rng import SeededRng
+
+
+# (c, hw, f, kernel, stride, pad, groups): the five TinyNIC convs at width 8,
+# then one grouped conv with 1 < groups < c
+CONV_SHAPES = {
+    "conv1": (1, 16, 8, 4, 2, 1, 1),
+    "conv2_dw": (8, 8, 8, 3, 1, 1, 8),
+    "conv2_sep": (8, 8, 16, 1, 1, 0, 1),
+    "conv3_dw": (16, 8, 16, 4, 2, 1, 16),
+    "conv3_sep": (16, 4, 32, 1, 1, 0, 1),
+    "grouped": (8, 8, 12, 3, 1, 1, 4),
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 def numeric_grad(loss_fn, arr, flat_index, h):

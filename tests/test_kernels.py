@@ -9,7 +9,7 @@ from latentreplay import kernels
 from latentreplay.errors import ShapeError
 from latentreplay.rng import SeededRng
 
-from conftest import check_grad_tensor
+from conftest import CONV_SHAPES, check_grad_tensor, same_bits
 
 
 def matmul_reference(a, b):
@@ -87,22 +87,6 @@ def conv2d_backward_einsum(x, kern, dy, stride=1, pad=0, groups=1):
             )
     dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
     return dx.astype(np.float32), dkern.astype(np.float32)
-
-
-# (c, hw, f, kernel, stride, pad, groups): the five TinyNIC convs at width 8,
-# then one grouped conv with 1 < groups < c
-CONV_SHAPES = {
-    "conv1": (1, 16, 8, 4, 2, 1, 1),
-    "conv2_dw": (8, 8, 8, 3, 1, 1, 8),
-    "conv2_sep": (8, 8, 16, 1, 1, 0, 1),
-    "conv3_dw": (16, 8, 16, 4, 2, 1, 16),
-    "conv3_sep": (16, 4, 32, 1, 1, 0, 1),
-    "grouped": (8, 8, 12, 3, 1, 1, 4),
-}
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 # -- matmul -------------------------------------------------------------------
@@ -261,13 +245,16 @@ def test_conv_bit_identical_to_einsum(name, n):
     dx_ref, dk_ref = conv2d_backward_einsum(x, kern, dy, stride, pad, groups)
     assert same_bits(dx, dx_ref)
     assert same_bits(dk, dk_ref)
-    assert same_bits(kernels.conv2d_weight_grad(x, kern, dy, stride, pad, groups), dk_ref)
+    cols = kernels.im2col(x, k, k, stride, pad, groups)
+    _, dk_only = kernels.conv2d_backward_from_cols(cols, x.shape, kern, dy, stride, pad,
+                                                   need_dx=False)
+    assert same_bits(dk_only, dk_ref)
 
 
 @pytest.mark.parametrize("pad", [0, 1])
 def test_conv_input_layout_does_not_change_bits(pad):
-    """The im2col window is a strided view of the padded copy, which must
-    be C-contiguous whatever the layout of x."""
+    """im2col gathers from a copy of x that it lays out itself, so the
+    layout of x changes neither the matrix nor what is computed from it."""
     r = SeededRng(15)
     x = r.normal((3, 4, 6, 6))
     kern = r.normal((6, 4, 3, 3))
@@ -277,19 +264,57 @@ def test_conv_input_layout_does_not_change_bits(pad):
         xl = np.ascontiguousarray(x.transpose(layout)).transpose(back)
         assert not xl.flags.c_contiguous
         assert same_bits(kernels.conv2d(xl, kern, 1, pad), ref)
-        assert same_bits(kernels.conv2d_weight_grad(xl, kern, ref, 1, pad),
-                         kernels.conv2d_weight_grad(x, kern, ref, 1, pad))
+        assert same_bits(kernels.im2col(xl, 3, 3, 1, pad), kernels.im2col(x, 3, 3, 1, pad))
+        assert all(same_bits(a, b) for a, b in zip(kernels.conv2d_backward(xl, kern, ref, 1, pad),
+                                                   kernels.conv2d_backward(x, kern, ref, 1, pad)))
+
+
+def im2col_reference(x, kh, kw, stride, pad, groups):
+    """im2col from a sliding_window_view of np.pad's padded copy."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    _, _, ho, wo, _, _ = win.shape
+    win = win.reshape(n, groups, c // groups, ho, wo, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
+    return win.reshape(groups, n * ho * wo, -1)
 
 
 @pytest.mark.parametrize("n", [1, 48, 256])
-@pytest.mark.parametrize("name", [k for k in CONV_SHAPES if k != "grouped"])
-def test_padded64_bit_identical_to_np_pad(name, n):
-    c, hw, _, _, _, pad, _ = CONV_SHAPES[name]
+@pytest.mark.parametrize("name", list(CONV_SHAPES))
+def test_im2col_bit_identical_to_sliding_window(name, n):
+    c, hw, _, k, stride, pad, groups = CONV_SHAPES[name]
     x = SeededRng(14).normal((n, c, hw, hw))
-    ref = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    xp = kernels._padded64(x, pad)
-    assert xp.dtype == np.float64 and xp.shape == ref.shape
-    assert np.array_equal(xp.view(np.uint64), ref.view(np.uint64))
+    ref = im2col_reference(x, k, k, stride, pad, groups)
+    for xin in (x, np.asfortranarray(x), np.repeat(x, 2, axis=3)[..., ::2]):
+        cols = kernels.im2col(xin, k, k, stride, pad, groups)
+        assert cols.flags.c_contiguous
+        assert cols.dtype == np.float32 and same_bits(cols, ref)
+
+
+def test_depthwise_backward_rejects_short_dy():
+    r = SeededRng(17)
+    x, kern = r.normal((2, 4, 8, 8)), r.normal((4, 1, 3, 3))
+    with pytest.raises(ShapeError, match="dy shape"):
+        kernels.conv2d_backward(x, kern, r.normal((2, 4, 7, 7)), 1, 1, 4)
+
+
+@pytest.mark.parametrize("kind", ["conv2d_backward", "from_cols"])
+@pytest.mark.parametrize("name", ["conv2_dw", "conv3_dw", "conv2_sep", "grouped"])
+def test_conv_backward_rejects_wrong_dy_shape(name, kind):
+    c, hw, f, k, stride, pad, groups = CONV_SHAPES[name]
+    r = SeededRng(16)
+    x = r.normal((2, c, hw, hw))
+    kern = r.normal((f, c // groups, k, k))
+    _, _, ho, wo = kernels.conv2d(x, kern, stride, pad, groups).shape
+    for shape in ((2, f, ho - 1, wo - 1), (2, f, ho, wo + 1), (3, f, ho, wo), (2, 2 * f, ho, wo)):
+        dy = r.normal(shape)
+        with pytest.raises(ShapeError, match="dy shape"):
+            if kind == "conv2d_backward":
+                kernels.conv2d_backward(x, kern, dy, stride, pad, groups)
+            else:
+                cols = kernels.im2col(x, k, k, stride, pad, groups)
+                kernels.conv2d_backward_from_cols(cols, x.shape, kern, dy, stride, pad,
+                                                  need_dx=False)
 
 # -- pooling ------------------------------------------------------------------
 

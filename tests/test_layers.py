@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from latentreplay import kernels
 from latentreplay.layers import (Brn, Conv, Dense, DwConv, Flatten,
                                  GlobalAvgPool, Relu, TRAIN)
 from latentreplay.presets import build_tinynic_network
 from latentreplay.rng import SeededRng
 
-from conftest import check_grad_tensor
+from conftest import CONV_SHAPES, check_grad_tensor, same_bits
 
 
 def saturating_brn(channels, rng_seed=0):
@@ -85,6 +86,30 @@ def test_dwconv_is_conv_with_channel_groups():
     layer = DwConv("dw", 3, kernel=3, pad=1, rng=SeededRng(27))
     assert layer.groups == 3 and layer.out_channels == 3
     assert layer.params["w"].shape == (3, 1, 3, 3)
+
+
+@pytest.mark.parametrize("need_dx", [True, False])
+@pytest.mark.parametrize("name", list(CONV_SHAPES))
+def test_conv_backward_from_kept_matrix(name, need_dx):
+    """Train mode keeps the input's float32 im2col matrix instead of the
+    input; eval mode keeps nothing. Backward from the matrix gives the
+    bits of kernels.conv2d_backward."""
+    c, hw, f, k, stride, pad, groups = CONV_SHAPES[name]
+    layer = Conv(name, c, f, k, stride, pad, groups, rng=SeededRng(28))
+    x = SeededRng(29).normal((48, c, hw, hw))
+    y, cache = layer.forward(x, TRAIN)
+    cols, x_shape = cache
+    _, _, ho, wo = y.shape
+    assert x_shape == x.shape
+    assert cols.dtype == np.float32 and cols.size == 48 * ho * wo * c * k * k
+    assert layer.forward(x, "eval")[1] is None
+    w = layer.params["w"]
+    assert same_bits(y, kernels.conv2d(x, w, stride, pad, groups))
+    dy = SeededRng(30).normal(y.shape)
+    dx, grads = layer.backward(dy, cache, need_dx=need_dx)
+    dx_ref, dw_ref = kernels.conv2d_backward(x, w, dy, stride, pad, groups)
+    assert same_bits(grads["w"], dw_ref)
+    assert same_bits(dx, dx_ref) if need_dx else dx is None
 
 
 # -- relu / pool / flatten -------------------------------------------------------
