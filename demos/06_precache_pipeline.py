@@ -26,7 +26,7 @@ rm = ReplayMemory(500, SeededRng(10))
 old_y = rng.randint(0, 9, 500)
 protos = rng.normal((9, 1, 16, 16))
 old = (protos[old_y] + 0.3 * rng.normal((500, 1, 16, 16))).astype(np.float32)
-rm.update(old, old_y, 1, payload_fn=lambda idx: net.tap_activations(old[idx]))
+rm.update(net.tap_activations(old), old_y, 1)
 
 # acquisition thread: 100 frames of the new object (class 9) trickle in
 new_frames = rng.normal((100, 1, 16, 16)) + 1.5

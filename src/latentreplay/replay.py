@@ -1,8 +1,8 @@
 """Bounded rehearsal memory and its supporting machinery.
 
-The memory keeps one float32 payload row per item, the raw pattern or
-what an update's ``payload_fn`` makes of it (tap activations for latent
-replay), and never reads it. Each training batch contributes
+The memory keeps one float32 payload row per item, whatever rows an
+update hands it (raw patterns, or tap activations when the trainer's lower
+net is pinned), and never reads it. Each training batch contributes
 ``h = min(capacity // i, |B_i|)`` randomly chosen items; once the memory
 is full an equal number of randomly chosen old items makes room, so the
 long-run contribution of every batch stays nearly balanced. No class
@@ -39,18 +39,17 @@ class ReplayMemory:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def update(self, patterns: np.ndarray, labels, i: int, payload_fn=None):
-        """Fold training batch ``i`` into the memory.
-
-        ``payload_fn(indices) -> array`` supplies stored payloads for the
-        chosen patterns (latent memories pass the tap-activation extractor);
-        by default the patterns themselves are stored. Returns the number
-        of items (added, replaced).
+    def update(self, rows: np.ndarray, labels, i: int):
+        """Fold training batch ``i`` into the memory: the chosen ``rows``,
+        one per label, are stored as they are. Returns the number of items
+        (added, replaced).
         """
         if i < 1 or i <= self._last_i:
             raise StateError(f"batch index must increase strictly, got {i} after {self._last_i}")
-        self._last_i = i
         labels = np.asarray(labels)
+        if len(labels) != len(rows):
+            raise ShapeError(f"{len(labels)} labels for {len(rows)} rows")
+        self._last_i = i
         if len(labels) == 0:
             warnings.warn("update_memory called with an empty batch; ignored")
             return 0, 0
@@ -63,7 +62,7 @@ class ReplayMemory:
         if replace_n:
             keep[self.rng.choice(n, replace_n)] = False
         add_idx = np.sort(self.rng.choice(len(labels), h))
-        payloads = payload_fn(add_idx) if payload_fn is not None else patterns[add_idx]
+        payloads = rows[add_idx]
         if n and payloads.shape[1:] != self.payloads.shape[1:]:
             raise ShapeError("payload shape differs from items already stored")
         self.payloads = _keep_then_append(self.payloads, keep, payloads)

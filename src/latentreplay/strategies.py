@@ -8,7 +8,10 @@ or latent rehearsal memory; a latent memory pins the lower net from batch 2.
 
 A fixed lower net (pinned once batch 1 has trained it, or DSLDA's, which
 never trains) sees each native row once per batch and the test set once per
-run: the trainer keeps their tap activations and runs only the layers above.
+run: the trainer keeps their tap activations, and every step, DSLDA's
+update and the memory read them. A pinned trainer's memory therefore
+stores tap activations, whatever its replay kind, and its rows join the
+native ones at the tap.
 """
 
 from __future__ import annotations
@@ -197,7 +200,9 @@ class DsldaState:
 @dataclass
 class StrategyConfig:
     strategy: str = "naive"
-    replay_kind: str | None = None      # None | "native" | "latent"; latents at net.tap
+    # None | "native" | "latent"; "latent" pins the lower net from batch 2,
+    # and a pinned net's memory holds tap activations
+    replay_kind: str | None = None
     rm_capacity: int = 0
     epochs: int = 4
     mb: int = 32
@@ -254,10 +259,10 @@ class ContinualTrainer:
         self.batch_count = 0
         self.rm = (ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E))
                    if cfg.replay_kind is not None else None)
-        # latent replay rows enter at the tap and stay valid only while the lower net is pinned
-        self.replay_at_tap = cfg.replay_kind == "latent"
+        # a latent memory's rows stay valid only while the lower net is pinned,
+        # and a pinned net's memory holds tap activations, whatever its kind
         row = cfg.preset
-        self.pin_lower = row.head_only or self.replay_at_tap
+        self.pin_lower = row.head_only or cfg.replay_kind == "latent"
         head = net.layer(net.head_name)
         self.cwr = CwrHead(head.in_features, head.units) if row.head == "cwr" else None
         self.si = SiState(net) if row.si else None
@@ -293,15 +298,6 @@ class ContinualTrainer:
         g["w"][:, absent] = 0.0
         g["b"][absent] = 0.0
 
-    def _train_batch_dslda(self, x, y, i):
-        t0 = time.perf_counter()
-        feats = self.net.tap_activations(x)
-        for f, label in zip(feats, y):
-            self.dslda.update(f, int(label))
-        ms = (time.perf_counter() - t0) * 1000.0
-        return BatchReport(i, steps=0, mean_loss=float("nan"), loss_trace=[],
-                           train_ms=ms)
-
     # a diverging run overflows before its loss or logits read non-finite,
     # and is reported once, as a StateError
     @np.errstate(over="ignore", invalid="ignore")
@@ -310,12 +306,19 @@ class ContinualTrainer:
         y = np.asarray(y, dtype=np.int64)
         if len(x) == 0:
             raise ConfigError("empty training batch")
+        if len(y) != len(x):
+            raise ShapeError(f"{len(y)} labels for {len(x)} rows")
         self.batch_count = i
-        if self.dslda is not None:
-            return self._train_batch_dslda(x, y, i)
-
         net, cfg = self.net, self.cfg
         t0 = time.perf_counter()
+        # a fixed lower net runs once per native row; every step enters at the tap
+        taps = net.tap_activations(x) if fixed else None
+        if self.dslda is not None:
+            for f, label in zip(taps, y):
+                self.dslda.update(f, int(label))
+            return BatchReport(i, steps=0, mean_loss=float("nan"), loss_trace=[],
+                               train_ms=(time.perf_counter() - t0) * 1000.0)
+
         self._configure_batch(i)
         # the batch trained on is B_i u RM, so the double-memory head manages
         # the classes of the joint pool, not just the native session's
@@ -334,8 +337,6 @@ class ContinualTrainer:
         n_nat = max(n_nat, 1)
         iterations = -(-B // n_nat)
         sparsify = cfg.sparsifier_alpha != 0.0 and i == 1
-        # a fixed lower net runs once per native row; every step enters at the tap
-        taps = net.tap_activations(x) if fixed else None
 
         trace = []
         for _ in range(cfg.epochs):
@@ -343,20 +344,17 @@ class ContinualTrainer:
             for it in range(iterations):
                 nat_idx = perm[(it * n_nat + np.arange(n_nat)) % B]
                 x_nat, y_nat = x[nat_idx], y[nat_idx]
-                pay, y_joint = None, y_nat
+                # memory rows are stored where the native rows enter: at the
+                # tap when the lower net is fixed, else at the input
+                rows, y_joint = (x_nat if taps is None else taps[nat_idx]), y_nat
                 if n_rep:
                     pay, y_rep = self.rm.stacked(self.rm.sample(n_rep, self.rng))
                     y_joint = np.concatenate([y_nat, y_rep])
-                if taps is not None:
-                    # a latent memory holds rows only from batch 2 on, when the
-                    # lower net is fixed; a native memory's rows still cross it
-                    joint = taps[nat_idx] if pay is None else np.concatenate(
-                        [taps[nat_idx], pay if self.replay_at_tap else net.tap_activations(pay)])
-                    logits, tapped = net.forward_concat(x_nat[:0], joint)
-                elif pay is None:
-                    logits, tapped = net.forward(x_nat)
+                    rows = np.concatenate([rows, pay])
+                if taps is None:
+                    logits, tapped = net.forward(rows)
                 else:
-                    logits, tapped = net.forward(np.concatenate([x_nat, pay]))
+                    logits, tapped = net.forward_concat(x_nat[:0], rows)
                 loss, dlogits = softmax_xent(logits, y_joint)
                 tap_extra = None
                 if sparsify:
@@ -388,9 +386,9 @@ class ContinualTrainer:
             self.cwr.install(net.layer(net.head_name))
 
         if self.rm is not None and self.rm.capacity > 0:
-            self.rm.update(x, y, i, payload_fn=(
-                lambda idxs: net.tap_activations(x[idxs]) if taps is None else taps[idxs])
-                if self.replay_at_tap else None)
+            if taps is None and self.lower_fixed:  # batch 1 has trained a pinned lower net
+                taps = net.tap_activations(x)
+            self.rm.update(x if taps is None else taps, y, i)
 
         ms = (time.perf_counter() - t0) * 1000.0
         mean_loss = float(np.mean(trace)) if trace else float("nan")

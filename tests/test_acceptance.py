@@ -345,7 +345,7 @@ def reference_scenario():
 def _final_accuracy(scenario, strategy, seed, tap="relu3", **kw):
     net = build_tinynic_network(classes=10, seed=seed, tap=tap)
     cfg = StrategyConfig(strategy=strategy, **REFERENCE_LRS, **kw)
-    rows = run_protocol(net, cfg, scenario, seed=seed)
+    rows = run_protocol(net, cfg, scenario, seed=seed, eval_every=len(scenario.batches))
     return rows[-1].test_accuracy
 
 

@@ -139,6 +139,5 @@ def test_tap_pattern_size_matches_stored_latents():
     table = LayerCostTable.from_network(net)
     rm = ReplayMemory(8, SeededRng(4))
     x = SeededRng(5).normal((10, 1, 16, 16))
-    rm.update(x, np.arange(10) % 10, 1,
-              payload_fn=lambda idxs: net.tap_activations(x[idxs]))
+    rm.update(net.tap_activations(x), np.arange(10) % 10, 1)
     assert rm.payloads.size == len(rm) * pattern_size(table, net.tap)

@@ -3,7 +3,7 @@ import pytest
 
 from latentreplay import strategies
 from latentreplay.accounting import memory_footprint
-from latentreplay.errors import StateError
+from latentreplay.errors import ShapeError, StateError
 from latentreplay.presets import build_tinynic_network
 from latentreplay.replay import (ReplayMemory, compose_minibatch,
                                  l1_activation_penalty, sparsity_stats)
@@ -76,6 +76,17 @@ def test_batch_index_must_strictly_increase():
         rm.update(x, y, 1)
 
 
+@pytest.mark.parametrize("n_labels", [7, 12])
+def test_label_count_must_match_row_count(n_labels):
+    rm = ReplayMemory(8, SeededRng(3))
+    x, _ = make_batch(10)
+    with pytest.raises(ShapeError):
+        rm.update(x, np.arange(n_labels) % 10, 1)
+    assert len(rm) == 0
+    rm.update(x, np.arange(10) % 10, 1)  # the failed update consumed no batch index
+    assert len(rm) == 8
+
+
 def test_empty_batch_warns_and_is_noop():
     rm = ReplayMemory(10, SeededRng(2))
     with pytest.warns(UserWarning):
@@ -100,23 +111,6 @@ def test_origin_batch_occupancy_roughly_balanced():
     assert np.all(per_origin < 1.2 * target)
 
 
-def test_latent_payloads_via_payload_fn():
-    rm = ReplayMemory(8, SeededRng(3))
-    x, y = make_batch(10)
-    calls = {}
-
-    def payload_fn(idxs):
-        calls["idxs"] = np.array(idxs)
-        return np.stack([x[j] * 2.0 for j in idxs])
-
-    rm.update(x, y, 1, payload_fn=payload_fn)
-    assert len(rm) == 8
-    for payload, label, origin, j in zip(rm.payloads, rm.labels, rm.origins, calls["idxs"]):
-        assert np.array_equal(payload, x[j] * 2.0)
-        assert label == y[j]
-        assert origin == 1
-
-
 def test_payload_footprint():
     rm = ReplayMemory(6, SeededRng(4))
     x = SeededRng(5).normal((9, 2, 3))
@@ -131,7 +125,7 @@ class ListMemory:
     def __init__(self, capacity, rng):
         self.capacity, self.rng, self.items = capacity, rng, []
 
-    def update(self, patterns, labels, i, payload_fn=None):
+    def update(self, rows, labels, i):
         h = min(self.capacity // i, len(labels))
         replace_n = 0
         if i > 1 and h > 0:
@@ -141,9 +135,8 @@ class ListMemory:
             self.items = [it for j, it in enumerate(self.items) if j not in drop]
         if h > 0:
             add_idx = np.sort(self.rng.choice(len(labels), h))
-            payloads = payload_fn(add_idx) if payload_fn is not None else patterns[add_idx]
-            for j, idx in enumerate(add_idx):
-                self.items.append((np.array(payloads[j], dtype=np.float32), int(labels[idx]), i))
+            for idx in add_idx:
+                self.items.append((np.array(rows[idx], dtype=np.float32), int(labels[idx]), i))
         return h, replace_n
 
     def stacked(self, indices):
@@ -151,8 +144,7 @@ class ListMemory:
                 np.array([self.items[j][1] for j in indices], dtype=np.int64))
 
 
-@pytest.mark.parametrize("latent", [False, True])
-def test_arrays_match_list_reference(latent):
+def test_arrays_match_list_reference():
     for seed in range(4):
         sizes = SeededRng(100 + seed).randint(1, 90, 12)
         capacity = 40 + 20 * seed
@@ -160,8 +152,7 @@ def test_arrays_match_list_reference(latent):
         rm = ReplayMemory(capacity, SeededRng(seed))
         for i, n in enumerate(sizes, start=1):
             x, y = make_batch(int(n), label_base=i, dim=3, seed=10 * seed + i)
-            payload_fn = (lambda idxs, x=x: x[idxs] * 2.0 - 1.0) if latent else None
-            assert rm.update(x, y, i, payload_fn) == ref.update(x, y, i, payload_fn)
+            assert rm.update(x, y, i) == ref.update(x, y, i)
             assert len(rm) == len(ref.items)
             assert np.array_equal(rm.payloads, np.stack([it[0] for it in ref.items]))
             assert rm.labels.tolist() == [it[1] for it in ref.items]

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latentreplay.errors import ConfigError, StateError
+from latentreplay.errors import ConfigError, ShapeError, StateError
 from latentreplay.kernels import softmax_xent
 from latentreplay.layers import Brn, Dense
 from latentreplay.presets import build_tinynic_network
@@ -503,18 +503,51 @@ def test_cwr_isolation_bitwise():
             assert trainer.cwr.cw_b[c] == before_b[c]
 
 
+def bits(arr):
+    arr = np.ascontiguousarray(arr)
+    return arr.view(np.uint64 if arr.dtype == np.float64 else np.uint32)
+
+
 def test_cwr_latent_equals_native_when_frozen():
     batches = tinynic_batches(4, per_batch=24, classes=6, seed=23)
+    test_x = SeededRng(40).normal((20, 1, 16, 16))
     net_a = build_tinynic_network(classes=6, seed=24, tap="pool")
     net_b = build_tinynic_network(classes=6, seed=24, tap="pool")
     common = dict(strategy="cwr*", rm_capacity=30)
     a = ContinualTrainer(net_a, StrategyConfig(replay_kind="latent", **common), seed=7)
     b = ContinualTrainer(net_b, StrategyConfig(replay_kind="native", **common), seed=7)
     for x, y in batches:
-        a.train_batch(x, y)
-        b.train_batch(x, y)
+        loss_a = a.train_batch(x, y).loss_trace
+        loss_b = b.train_batch(x, y).loss_trace
+        assert np.array_equal(bits(np.array(loss_a)), bits(np.array(loss_b)))
     assert np.array_equal(a.cwr.cw_w, b.cwr.cw_w)
     assert np.array_equal(a.cwr.cw_b, b.cwr.cw_b)
+    assert np.array_equal(bits(a.predict_logits(test_x)), bits(b.predict_logits(test_x)))
+    # the pinned lower net's memory holds tap activations, whatever its kind
+    assert b.rm.payloads.shape == (len(b.rm),) + net_b.tap_shape
+    assert np.array_equal(bits(a.rm.payloads), bits(b.rm.payloads))
+    assert np.array_equal(a.rm.labels, b.rm.labels)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_cwr_heads_at_pool_with_a_latent_memory_train_one_run(seed):
+    """Only the head sits above the pool tap, and a latent memory pins the
+    lower net from batch 2 on, so cwr*, ar1* and ar1*free train the same
+    head: SI guards no layer that still trains."""
+    scen = generate_tinynic(SMALL_STREAM, seed=seed)
+    runs = {}
+    for strategy in ("cwr*", "ar1*", "ar1*free"):
+        net = build_tinynic_network(classes=4, seed=1, width=4, tap="pool")
+        cfg = StrategyConfig(strategy=strategy, replay_kind="latent", rm_capacity=30,
+                             epochs=2, mb=16, lr_first=0.03, lr_head=0.09, lr_other=0.009)
+        trainer = ContinualTrainer(net, cfg, seed=2)
+        losses = [loss for b in scen.batches
+                  for loss in trainer.train_batch(b.x, b.y).loss_trace]
+        runs[strategy] = (bits(np.array(losses)), bits(trainer.predict_logits(scen.test_x)))
+    assert len(scen.batches) > 2
+    for strategy in ("ar1*", "ar1*free"):
+        assert np.array_equal(runs[strategy][0], runs["cwr*"][0]), strategy
+        assert np.array_equal(runs[strategy][1], runs["cwr*"][1]), strategy
 
 
 def test_head_lr_ratio_configured():
@@ -609,9 +642,10 @@ FIXED_LOWER_CASES = {
 @pytest.mark.parametrize("case", FIXED_LOWER_CASES)
 def test_fixed_lower_net_sees_native_rows_once_per_batch_and_test_set_once(case):
     """Rows entering the first layer: from batch 2 on (DSLDA's lower net
-    never trains) each native row once per batch, plus the rows drawn
-    from a native memory, and the test set only at its first evaluation,
-    after batch 1, which is the last batch to train a pinned lower net."""
+    never trains) each native row once per batch, since a pinned net's
+    memory, native or latent, holds tap activations, and the test set only
+    at its first evaluation, after batch 1, which is the last batch to
+    train a pinned lower net."""
     kw, tap = FIXED_LOWER_CASES[case]
     net = build_tinynic_network(classes=6, seed=34, width=4, tap=tap)
     trainer = ContinualTrainer(net, StrategyConfig(epochs=2, mb=8, **kw), seed=11)
@@ -630,7 +664,7 @@ def test_fixed_lower_net_sees_native_rows_once_per_batch_and_test_set_once(case)
         replayed.clear()
         trainer.train_batch(x, y)
         if i >= 2:
-            assert sum(rows) == len(x) + sum(replayed), i
+            assert sum(rows) == len(x), i
         rows.clear()
         trainer.accuracy(test_x, test_y)
         evals.append(sum(rows))
@@ -664,6 +698,21 @@ def test_cached_evaluation_has_predicts_bits_and_follows_content(case):
     after = check(test_x)
     assert not np.array_equal(after[5], before[5])
     assert np.array_equal(np.delete(after, 5, axis=0), np.delete(before, 5, axis=0))
+
+
+@pytest.mark.parametrize("memory", [{}, dict(replay_kind="latent", rm_capacity=20),
+                                    dict(replay_kind="native", rm_capacity=20)])
+def test_label_count_must_match_row_count(memory):
+    strategy = "ar1*free" if memory else "naive"
+    net = build_tinynic_network(classes=6, seed=41, width=4)
+    trainer = ContinualTrainer(net, StrategyConfig(strategy=strategy, epochs=1, mb=8,
+                                                   **memory), seed=12)
+    (x, y), = tinynic_batches(1, per_batch=12, seed=42)
+    with pytest.raises(ShapeError):
+        trainer.train_batch(x[:10], y)
+    with pytest.raises(ShapeError):
+        trainer.train_batch(x, y[:10])
+    assert trainer.batch_count == 0
 
 
 def test_config_errors():
