@@ -259,8 +259,7 @@ class ContinualTrainer:
         self.batch_count = 0
         self.rm = (ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E))
                    if cfg.replay_kind is not None else None)
-        # a latent memory's rows stay valid only while the lower net is pinned,
-        # and a pinned net's memory holds tap activations, whatever its kind
+        # a latent memory's rows stay valid only while the lower net is pinned
         row = cfg.preset
         self.pin_lower = row.head_only or cfg.replay_kind == "latent"
         head = net.layer(net.head_name)
