@@ -144,14 +144,19 @@ class ListMemory:
                 np.array([self.items[j][1] for j in indices], dtype=np.int64))
 
 
-def test_arrays_match_list_reference():
+@pytest.mark.parametrize("latent", [False, True])
+def test_arrays_match_list_reference(latent):
+    # latent=True stores rows shaped like a tap's activations: non-negative
+    # feature maps rather than flat pattern vectors.
     for seed in range(4):
         sizes = SeededRng(100 + seed).randint(1, 90, 12)
         capacity = 40 + 20 * seed
         ref = ListMemory(capacity, SeededRng(seed))
         rm = ReplayMemory(capacity, SeededRng(seed))
         for i, n in enumerate(sizes, start=1):
-            x, y = make_batch(int(n), label_base=i, dim=3, seed=10 * seed + i)
+            x, y = make_batch(int(n), label_base=i, dim=12 if latent else 3, seed=10 * seed + i)
+            if latent:
+                x = np.maximum(x.reshape(int(n), 3, 2, 2), 0.0)
             assert rm.update(x, y, i) == ref.update(x, y, i)
             assert len(rm) == len(ref.items)
             assert np.array_equal(rm.payloads, np.stack([it[0] for it in ref.items]))
