@@ -20,11 +20,10 @@ _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _splitmix64(x):
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
+    """splitmix64 finalizer over uint64 arrays, whose arithmetic wraps silently."""
     z = x.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
@@ -39,9 +38,7 @@ class SeededRng:
         """Next ``n`` raw 64-bit draws."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            x = np.uint64(self.seed) + idx * _GOLDEN
-        return _splitmix64(x)
+        return _splitmix64(np.uint64(self.seed) + idx * _GOLDEN)
 
     def uniform(self, shape=None) -> np.ndarray | float:
         """Uniform draws in [0, 1) (float64; 53 random bits each)."""

@@ -16,7 +16,6 @@ native ones at the tap.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from collections import namedtuple
@@ -223,12 +222,13 @@ class StrategyConfig:
             raise ConfigError(f"unknown replay kind {self.replay_kind!r}")
         if self.preset.head == "dslda" and self.replay_kind is not None:
             raise ConfigError("dslda streams features; it takes no replay memory")
-        if self.preset.head_only:
-            parameterized = [l.name for l in net.layers[net.tap_index + 1:] if l.params]
-            if parameterized != [net.head_name]:
-                raise ConfigError(f"{self.strategy} trains the head only: the tap must sit "
-                                  "directly below the output layer "
-                                  f"(found {parameterized} above it)")
+        above = [l.name for l in net.layers[net.tap_index + 1:] if l.params]
+        if self.preset.head_only and above != [net.head_name]:
+            raise ConfigError(f"{self.strategy} trains the head only: the tap must sit "
+                              f"directly below the output layer (found {above} above it)")
+        if self.replay_kind == "latent" and not above:
+            raise ConfigError(f"a latent memory pins every layer up to the tap {net.tap!r} "
+                              "from batch 2, and no layer above it has weights to train")
         require_int("epochs", self.epochs, 1)
         require_int("mb", self.mb, 1)
         require_int("rm_capacity", self.rm_capacity, 0)
@@ -267,7 +267,7 @@ class ContinualTrainer:
         self.si = SiState(net) if row.si else None
         self.dslda = (DsldaState(int(np.prod(net.tap_shape)), net.class_count)
                       if row.head == "dslda" else None)
-        self._eval_taps = None  # (content key of the last evaluated x, its tap activations)
+        self._eval_taps = None  # (private copy of the last evaluated x, its tap activations)
 
     @property
     def lower_fixed(self) -> bool:
@@ -287,15 +287,6 @@ class ContinualTrainer:
         net.lr_mult[net.head_name] = cfg.lr_head
         if self.pin_lower:
             net.freeze_below_tap()
-
-    def _mask_head_grads(self, grads: dict, classes) -> None:
-        g = grads.get(self.net.head_name)
-        if not g:
-            return
-        absent = np.ones(self.net.class_count, dtype=bool)
-        absent[list(classes)] = False
-        g["w"][:, absent] = 0.0
-        g["b"][absent] = 0.0
 
     # a diverging run overflows before its loss or logits read non-finite,
     # and is reported once, as a StateError
@@ -322,11 +313,16 @@ class ContinualTrainer:
         # the batch trained on is B_i u RM, so the double-memory head manages
         # the classes of the joint pool, not just the native session's
         pool_counts = np.bincount(y if self.rm is None
-                                  else np.concatenate([y, self.rm.labels]))
+                                  else np.concatenate([y, self.rm.labels]),
+                                  minlength=net.class_count)
         head_classes = np.flatnonzero(pool_counts).tolist()
         cur_counts = {j: int(pool_counts[j]) for j in head_classes}
         if self.cwr is not None:
             self.cwr.preinit(net.layer(net.head_name), head_classes)
+        absent = pool_counts == 0
+        # SI reads the steps of its layers that train this batch, and only those
+        si_layers = ({ln for ln, _ in self.si.keys if net.lr_mult[ln] != 0.0}
+                     if self.si is not None else set())
 
         B = len(x)
         if self.rm is not None and len(self.rm) > 0:
@@ -342,18 +338,18 @@ class ContinualTrainer:
             perm = self.rng.permutation(B)
             for it in range(iterations):
                 nat_idx = perm[(it * n_nat + np.arange(n_nat)) % B]
-                x_nat, y_nat = x[nat_idx], y[nat_idx]
                 # memory rows are stored where the native rows enter: at the
                 # tap when the lower net is fixed, else at the input
-                rows, y_joint = (x_nat if taps is None else taps[nat_idx]), y_nat
+                rows = x[nat_idx] if taps is None else taps[nat_idx]
+                y_joint = y[nat_idx]
                 if n_rep:
                     pay, y_rep = self.rm.stacked(self.rm.sample(n_rep, self.rng))
-                    y_joint = np.concatenate([y_nat, y_rep])
+                    y_joint = np.concatenate([y_joint, y_rep])
                     rows = np.concatenate([rows, pay])
                 if taps is None:
                     logits, tapped = net.forward(rows)
                 else:
-                    logits, tapped = net.forward_concat(x_nat[:0], rows)
+                    logits, tapped = net.forward_concat(x[:0], rows)
                 loss, dlogits = softmax_xent(logits, y_joint)
                 tap_extra = None
                 if sparsify:
@@ -361,8 +357,10 @@ class ContinualTrainer:
                     loss += pen
                     tap_extra = dacts
                 grads = net.backward(dlogits, tap_grad_extra=tap_extra)
-                if self.cwr is not None:
-                    self._mask_head_grads(grads, head_classes)
+                head_g = grads.get(net.head_name) if self.cwr is not None else None
+                if head_g:  # the double-memory head trains the pool's classes alone
+                    head_g["w"][:, absent] = 0.0
+                    head_g["b"][absent] = 0.0
                 if self.si is not None:
                     si_loss, si_grads = self.si.penalty(net)
                     loss += si_loss
@@ -373,8 +371,8 @@ class ContinualTrainer:
                 if not math.isfinite(loss):
                     raise StateError(f"non-finite loss {loss} at batch {i}, step "
                                      f"{len(trace) + 1}: the run diverged")
-                deltas = net.sgd_step(grads)
-                if self.si is not None:
+                deltas = net.sgd_step(grads, si_layers)
+                if si_layers:
                     self.si.accumulate(grads, deltas)
                 trace.append(loss)
 
@@ -398,12 +396,15 @@ class ContinualTrainer:
 
     def _eval_tap_activations(self, x: np.ndarray) -> np.ndarray:
         """The tap activations of ``x`` under a fixed lower net, kept for
-        the next call on the same content. The key is the shape, dtype and
-        SHA-256 of ``x``: a copy of ``x`` as the key would add its size to
-        the run's peak memory, on top of the activations themselves."""
-        key = (x.shape, x.dtype.str, hashlib.sha256(np.ascontiguousarray(x).data).digest())
-        if self._eval_taps is None or self._eval_taps[0] != key:
-            self._eval_taps = (key, self.net.tap_activations(x))
+        the next call on the same content. The key is a private copy of
+        the last ``x``, compared with the new one bit for bit: shape, dtype,
+        then the raw bits, so -0.0 is not 0.0 and an edit the caller makes
+        to its array after a call is seen."""
+        kept, n = self._eval_taps, x.dtype.itemsize
+        bits = f"u{n}" if n in (1, 2, 4, 8) else (np.uint8, n)  # unsigned: raw bits
+        if (kept is None or kept[0].shape != x.shape or kept[0].dtype != x.dtype
+                or not np.array_equal(kept[0].view(bits), x.view(bits))):
+            self._eval_taps = (x.copy(), self.net.tap_activations(x))
         return self._eval_taps[1]
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:

@@ -388,23 +388,32 @@ def test_run_spec_path_matches_builtin_and_honours_block_tap(tmp_path):
     assert taps == ["relu3", "pool"]
 
 
-def test_run_spec_path_tapped_at_head_trains_and_evaluates(tmp_path, capsys):
-    """A spec network's strategy block may tap the output layer: no layer
-    sits above the tap, and the fixed lower net's evaluation from batch 2 on
-    passes the kept activations through unchanged."""
+@pytest.mark.parametrize("strategy", ["ar1*free", "naive"])
+def test_run_spec_path_latent_memory_tapped_at_head_is_config_error(tmp_path, capsys, strategy):
+    """A latent memory pins every layer up to the tap from batch 2; tapped
+    at the output layer, nothing would train again."""
     (tmp_path / "net.json").write_text(json.dumps(tinynic_network_spec(classes=4, width=4)))
     cfg = run_config(tmp_path, network={"spec_path": "net.json"},
-                     strategies=[{"name": "fc", "strategy": "ar1*free", "replay_kind": "latent",
+                     strategies=[{"name": "fc", "strategy": strategy, "replay_kind": "latent",
+                                  "tap": "fc", "rm_capacity": 20, "epochs": 1, "mb": 16}])
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a latent memory pins every layer up to the tap 'fc' from batch 2, "
+        "and no layer above it has weights to train"]
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+def test_run_spec_path_unpinned_tapped_at_head_trains_and_evaluates(tmp_path, capsys):
+    """An unpinned run may tap the output layer: with a native memory every
+    layer keeps training."""
+    (tmp_path / "net.json").write_text(json.dumps(tinynic_network_spec(classes=4, width=4)))
+    cfg = run_config(tmp_path, network={"spec_path": "net.json"},
+                     strategies=[{"name": "fc", "strategy": "ar1*free", "replay_kind": "native",
                                   "tap": "fc", "rm_capacity": 20, "epochs": 1, "mb": 16}])
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
     rows = (tmp_path / "o" / "metrics.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [str(i) for i in range(1, 8)]
-    run = cli.ExperimentConfig(json.loads(cfg.read_text()), base_dir=str(tmp_path))
-    net = cli._prepare(run, run.load_scenario(), "fc", run.strategies[0][2], 0)
-    x = run.load_scenario().test_x
-    logits = net.predict(x)
-    assert np.array_equal(net.forward_from(net.tap_activations(x), mode="eval"), logits)
 
 
 def test_run_diverging_stops_with_one_runtime_error_line(tmp_path):

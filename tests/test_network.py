@@ -7,7 +7,7 @@ from latentreplay.errors import ConfigError, ShapeError, StateError
 from latentreplay.kernels import softmax_xent
 from latentreplay.layers import Brn, Dense, Relu
 from latentreplay.network import Network
-from latentreplay.presets import TINYNIC_TAPS, build_tinynic_network
+from latentreplay.presets import TINYNIC_TAPS, build_tinynic_network, tinynic_network_spec
 from latentreplay.rng import SeededRng
 from latentreplay.scenario import ScenarioParams, generate_tinynic
 
@@ -117,6 +117,16 @@ def test_stored_latent_equals_input_fed_when_frozen(tap):
     direct = net.predict(x)
     via_latent = net.forward_from(stored, mode="eval")
     assert np.array_equal(via_latent.view(np.uint32), direct.view(np.uint32))
+
+
+def test_net_tapped_at_its_head_evaluates_from_its_tap_activations():
+    """With the tap at the output layer no layer sits above it: the pass
+    from the tap hands the activations through, with predict's bits."""
+    net = Network.from_spec(dict(tinynic_network_spec(classes=4, width=4), tap="fc"), seed=5)
+    x = SeededRng(6).normal((70, 1, 16, 16))
+    direct = net.predict(x)
+    assert np.array_equal(net.forward_from(net.tap_activations(x), mode="eval").view(np.uint32),
+                          direct.view(np.uint32))
 
 
 @pytest.mark.parametrize("tap", TINYNIC_TAPS)
@@ -360,12 +370,18 @@ def test_sgd_step_definition_and_freeze():
 
 
 def test_sgd_step_returns_applied_deltas_bitwise():
-    net = build_tinynic_network(classes=5, seed=40, width=4, tap="relu2")
+    """Deltas are built for the named layers alone; the step applied is the
+    same whichever layers are named."""
+    net, net_sub, net_none = (build_tinynic_network(classes=5, seed=40, width=4, tap="relu2")
+                              for _ in range(3))
     x = SeededRng(41).normal((6, 1, 16, 16))
-    net.lr_mult.update(dict.fromkeys(net.lr_mult, 0.05), fc=0.15)
+    names, subset = [l.name for l in net.layers], ["conv1", "brn3", "fc"]
+    for n in (net, net_sub, net_none):
+        n.lr_mult.update(dict.fromkeys(n.lr_mult, 0.05), fc=0.15)
     for frozen in (False, True):
         if frozen:
-            net.freeze_below_tap()
+            for n in (net, net_sub, net_none):
+                n.freeze_below_tap()
         logits, _ = net.forward(x)
         _, dl = softmax_xent(logits, np.arange(6) % 5)
         grads = net.backward(dl)
@@ -374,9 +390,17 @@ def test_sgd_step_returns_applied_deltas_bitwise():
                           for l in net.layers[:net.tap_index + 1] if l.params})
         before = {(l.name, k): v.astype(np.float64)
                   for l in net.layers for k, v in l.params.items()}
-        deltas = net.sgd_step(grads)
+        deltas = net.sgd_step(grads, names)
         moved = {(ln, k) for ln, g in grads.items() for k in g if net.lr_mult[ln] != 0.0}
         assert set(deltas) == moved and moved
+        sub = net_sub.sgd_step(grads, subset)
+        assert set(sub) == {key for key in moved if key[0] in subset} and sub
+        assert all(np.array_equal(d, deltas[key]) for key, d in sub.items())
+        assert net_none.sgd_step(grads) == {}
+        for n in (net_sub, net_none):
+            for l, other in zip(net.layers, n.layers):
+                for k, v in l.params.items():
+                    assert np.array_equal(v.view(np.uint32), other.params[k].view(np.uint32))
         for l in net.layers:
             for k, v in l.params.items():
                 diff = v.astype(np.float64) - before[(l.name, k)]

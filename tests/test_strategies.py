@@ -592,7 +592,7 @@ def test_head_steps_at_exactly_lr_head():
     head = net.layer("fc")
     for arr in head.params.values():  # from 0 the applied step is the delta exactly
         arr[...] = 0.0
-    deltas = net.sgd_step(grads)
+    deltas = net.sgd_step(grads, ["fc"])
     for k, g in grads["fc"].items():
         want = -(0.09 * g.astype(np.float64)).astype(np.float32)
         assert np.array_equal(deltas[("fc", k)], want.astype(np.float64)), k
@@ -680,6 +680,16 @@ def test_cached_evaluation_has_predicts_bits_and_follows_content(case):
     cfg = StrategyConfig(epochs=1, mb=16, lr_first=0.03, lr_head=0.09, lr_other=0.009, **kw)
     trainer = ContinualTrainer(net, cfg, seed=2)
     test_x = np.concatenate([scen.test_x] * 3)  # more rows than one eval chunk
+    test_x[7, 0, 0, 0] = 0.0
+    first, rows = net.layers[0], []
+    forward = first.forward
+    first.forward = lambda x, mode: rows.append(len(x)) or forward(x, mode)
+
+    def rows_below_tap(x):
+        """Rows the trainer's evaluation of ``x`` runs through the first layer."""
+        rows.clear()
+        trainer.predict_logits(x)
+        return sum(rows)
 
     def check(x):
         want = net.predict(x)
@@ -694,10 +704,33 @@ def test_cached_evaluation_has_predicts_bits_and_follows_content(case):
     other = SeededRng(38).normal(test_x.shape)
     assert not np.array_equal(check(other), before)
     check(test_x)
-    test_x[5] = other[5]  # in place: same array, same shape, new content
+    assert rows_below_tap(test_x) == 0
+    test_x[5] = other[5]  # in place: the kept copy is the trainer's own
+    assert rows_below_tap(test_x) == len(test_x)
     after = check(test_x)
     assert not np.array_equal(after[5], before[5])
     assert np.array_equal(np.delete(after, 5, axis=0), np.delete(before, 5, axis=0))
+    assert rows_below_tap(test_x) == 0
+    test_x[7, 0, 0, 0] = -0.0  # equal to 0.0 as a float, not as bits
+    assert rows_below_tap(test_x) == len(test_x)
+    check(test_x)
+
+
+@pytest.mark.parametrize("tap, later", [("pool", 0), ("relu3", 1)])
+def test_si_accumulates_only_while_its_layers_train(tap, later):
+    """ar1* with a latent memory: at pool only the head, which SI does not
+    guard, trains after batch 1, so SI accumulates in batch 1 alone; at
+    relu3 the layers above the tap keep training and accumulating."""
+    net = build_tinynic_network(classes=6, seed=34, width=4, tap=tap)
+    cfg = StrategyConfig(strategy="ar1*", replay_kind="latent", rm_capacity=40, epochs=2, mb=8)
+    trainer = ContinualTrainer(net, cfg, seed=11)
+    calls = []
+    accumulate = trainer.si.accumulate
+    trainer.si.accumulate = lambda grads, delta: calls.append(1) or accumulate(grads, delta)
+    for i, (x, y) in enumerate(tinynic_batches(4, per_batch=16, seed=36), start=1):
+        calls.clear()
+        steps = trainer.train_batch(x, y).steps
+        assert len(calls) == (steps if i == 1 else later * steps), i
 
 
 @pytest.mark.parametrize("memory", [{}, dict(replay_kind="latent", rm_capacity=20),
