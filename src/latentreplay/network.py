@@ -224,22 +224,15 @@ class Network:
                 grads[layer.name] = g
         return grads
 
-    def sgd_step(self, grads: Gradients, track=()) -> dict:
-        """theta <- theta - lr_mult(layer) * g; rate 0 skips the layer. Returns
-        {(layer, param): float64(new) - float64(old)} per moved param in ``track``'s layers."""
-        deltas = {}
+    def sgd_step(self, grads: Gradients) -> None:
+        """theta <- theta - lr_mult(layer) * g; rate 0 skips the layer."""
         for layer in self.layers:
             g = grads.get(layer.name)
             lr = self.lr_mult[layer.name]
             if not g or lr == 0.0:
                 continue
-            tracked = layer.name in track
             for key, grad in g.items():
-                old = layer.params[key].astype(np.float64) if tracked else None
                 layer.params[key] -= (lr * grad.astype(np.float64)).astype(np.float32)
-                if tracked:
-                    deltas[(layer.name, key)] = layer.params[key] - old
-        return deltas
 
     # -- serialization -------------------------------------------------------
 

@@ -51,7 +51,7 @@ class ReplayMemory:
             raise ShapeError(f"{len(labels)} labels for {len(rows)} rows")
         self._last_i = i
         if len(labels) == 0:
-            warnings.warn("update_memory called with an empty batch; ignored")
+            warnings.warn("ReplayMemory.update called with an empty batch; ignored")
             return 0, 0
         h = min(self.capacity // i, len(labels))
         if h <= 0:

@@ -36,6 +36,8 @@ class SeededRng:
 
     def next_u64(self, n: int = 1) -> np.ndarray:
         """Next ``n`` raw 64-bit draws."""
+        if n < 0:
+            raise ValueError(f"cannot draw {n} values")
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         return _splitmix64(np.uint64(self.seed) + idx * _GOLDEN)
@@ -78,6 +80,8 @@ class SeededRng:
     def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
         """Sample k indices from range(n), uniformly, without replacement
         by default. Always consumes exactly n draws when replace=False."""
+        if k < 0:
+            raise ValueError(f"cannot draw {k} indices")
         if replace:
             return self.randint(0, n, k)
         if k > n:

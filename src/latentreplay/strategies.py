@@ -5,6 +5,8 @@ baseline) is one row of ``_PRESETS``: its head, whether Synaptic
 Intelligence protects the weights below the head, and whether only the
 head trains after batch 1. Any SGD strategy can be combined with a native
 or latent rehearsal memory; a latent memory pins the lower net from batch 2.
+SI guards only the below-head layers that can train after batch 1: those
+above the tap when the lower net is pinned, else all of them.
 
 A fixed lower net (pinned once batch 1 has trained it, or DSLDA's, which
 never trains) sees each native row once per batch and the test set once per
@@ -89,18 +91,21 @@ class CwrHead:
 
 
 class SiState:
-    """Synaptic-Intelligence importance bookkeeping for the below-head
-    trainable parameters (BRN gamma/beta included)."""
+    """Synaptic-Intelligence importance bookkeeping for the parameters of
+    ``layers`` below the head (default: every below-head layer; BRN
+    gamma/beta included). Each step's delta_theta is taken against a float64
+    copy of those parameters kept from the previous step."""
 
-    def __init__(self, net: Network, lam: float = 1.0, xi: float = 1e-7,
+    def __init__(self, net: Network, layers=None, lam: float = 1.0, xi: float = 1e-7,
                  w1: float = 0.5, wi: float = 0.5, max_f: float = 0.001):
         if xi <= 0:
             raise ConfigError("SI damping xi must be > 0")
         self.lam, self.xi = float(lam), float(xi)
         self.w1, self.wi, self.max_f = float(w1), float(wi), float(max_f)
         self.keys = [(l.name, pn) for l in net.layers if l.name != net.head_name
-                     for pn in l.params]
+                     and (layers is None or l.name in layers) for pn in l.params]
         self.theta_ref = self._snapshot(net)
+        self._theta = dict(self.theta_ref)  # the parameters after the last step
         self.omega = {k: np.zeros_like(v) for k, v in self.theta_ref.items()}
         self.importance = {k: np.zeros_like(v) for k, v in self.theta_ref.items()}
 
@@ -108,15 +113,18 @@ class SiState:
         return {(ln, pn): net.layer(ln).params[pn].astype(np.float64)
                 for ln, pn in self.keys}
 
-    def accumulate(self, grads: dict, delta: dict) -> None:
-        """omega += -g * delta_theta (positive when the step reduced loss)."""
+    def accumulate(self, net: Network, grads: dict) -> None:
+        """omega += -g * delta_theta for the step ``grads`` just took
+        (positive when it reduced loss); a parameter without a gradient
+        did not move."""
         for key in self.keys:
             ln, pn = key
-            if ln in grads and pn in grads[ln] and key in delta:
-                d = delta[key]
-                if d.shape != self.omega[key].shape:
-                    raise ShapeError(f"delta shape mismatch for {key}")
-                self.omega[key] += -grads[ln][pn].astype(np.float64) * d
+            g = grads.get(ln, {}).get(pn)
+            if g is None:
+                continue
+            theta = net.layer(ln).params[pn].astype(np.float64)
+            self.omega[key] += -g.astype(np.float64) * (theta - self._theta[key])
+            self._theta[key] = theta
 
     def consolidate(self, net: Network, is_first_batch: bool) -> None:
         w = self.w1 if is_first_batch else self.wi
@@ -126,22 +134,15 @@ class SiState:
             contrib = w * np.maximum(self.omega[key], 0.0) / (dsq + self.xi)
             self.importance[key] = np.clip(self.importance[key] + contrib, 0.0, self.max_f)
             self.omega[key][...] = 0.0
-        self.theta_ref = now
+        self.theta_ref, self._theta = now, dict(now)
 
     def penalty(self, net: Network):
-        """(loss, gradient dict) of lambda * sum F (theta - theta_ref)^2.
-
-        Layers at learning rate 0 are skipped: their rate was set at the
-        start of the batch, after ``consolidate`` took theta_ref,
-        so their term is exactly 0; backward returns no gradient for them,
-        so the trainer would drop theirs."""
+        """(loss, gradient dict) of lambda * sum F (theta - theta_ref)^2."""
         loss = 0.0
         grads: dict = {}
         if self.lam == 0.0:
             return 0.0, grads
         for ln, pn in self.keys:
-            if net.lr_mult[ln] == 0.0:
-                continue
             theta = net.layer(ln).params[pn].astype(np.float64)
             diff = theta - self.theta_ref[(ln, pn)]
             f = self.importance[(ln, pn)]
@@ -264,7 +265,9 @@ class ContinualTrainer:
         self.pin_lower = row.head_only or cfg.replay_kind == "latent"
         head = net.layer(net.head_name)
         self.cwr = CwrHead(head.in_features, head.units) if row.head == "cwr" else None
-        self.si = SiState(net) if row.si else None
+        # SI guards the below-head layers that can train after batch 1
+        trains_later = net.layers[net.tap_index + 1:] if self.pin_lower else net.layers
+        self.si = SiState(net, [l.name for l in trains_later]) if row.si else None
         self.dslda = (DsldaState(int(np.prod(net.tap_shape)), net.class_count)
                       if row.head == "dslda" else None)
         self._eval_taps = None  # (private copy of the last evaluated x, its tap activations)
@@ -320,9 +323,6 @@ class ContinualTrainer:
         if self.cwr is not None:
             self.cwr.preinit(net.layer(net.head_name), head_classes)
         absent = pool_counts == 0
-        # SI reads the steps of its layers that train this batch, and only those
-        si_layers = ({ln for ln, _ in self.si.keys if net.lr_mult[ln] != 0.0}
-                     if self.si is not None else set())
 
         B = len(x)
         if self.rm is not None and len(self.rm) > 0:
@@ -371,9 +371,9 @@ class ContinualTrainer:
                 if not math.isfinite(loss):
                     raise StateError(f"non-finite loss {loss} at batch {i}, step "
                                      f"{len(trace) + 1}: the run diverged")
-                deltas = net.sgd_step(grads, si_layers)
-                if si_layers:
-                    self.si.accumulate(grads, deltas)
+                net.sgd_step(grads)
+                if self.si is not None:
+                    self.si.accumulate(net, grads)
                 trace.append(loss)
 
         if self.si is not None:

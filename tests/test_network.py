@@ -369,47 +369,35 @@ def test_sgd_step_definition_and_freeze():
     assert np.allclose(net.layer("w1").params["w"], 0.9)
 
 
-def test_sgd_step_returns_applied_deltas_bitwise():
-    """Deltas are built for the named layers alone; the step applied is the
-    same whichever layers are named."""
-    net, net_sub, net_none = (build_tinynic_network(classes=5, seed=40, width=4, tap="relu2")
-                              for _ in range(3))
+def test_sgd_step_moves_each_layer_by_its_rate_bitwise():
+    """Each param with a gradient moves by float32(lr * g) in float32
+    arithmetic; params of a layer at rate 0 stay bit-equal, gradient or not."""
+    net = build_tinynic_network(classes=5, seed=40, width=4, tap="relu2")
     x = SeededRng(41).normal((6, 1, 16, 16))
-    names, subset = [l.name for l in net.layers], ["conv1", "brn3", "fc"]
-    for n in (net, net_sub, net_none):
-        n.lr_mult.update(dict.fromkeys(n.lr_mult, 0.05), fc=0.15)
+    net.lr_mult.update(dict.fromkeys(net.lr_mult, 0.05), fc=0.15)
     for frozen in (False, True):
         if frozen:
-            for n in (net, net_sub, net_none):
-                n.freeze_below_tap()
+            net.freeze_below_tap()
         logits, _ = net.forward(x)
         _, dl = softmax_xent(logits, np.arange(6) % 5)
         grads = net.backward(dl)
         if frozen:  # gradients for frozen layers must still leave them unmoved
             grads.update({l.name: {k: np.ones_like(v) for k, v in l.params.items()}
                           for l in net.layers[:net.tap_index + 1] if l.params})
-        before = {(l.name, k): v.astype(np.float64)
-                  for l in net.layers for k, v in l.params.items()}
-        deltas = net.sgd_step(grads, names)
-        moved = {(ln, k) for ln, g in grads.items() for k in g if net.lr_mult[ln] != 0.0}
-        assert set(deltas) == moved and moved
-        sub = net_sub.sgd_step(grads, subset)
-        assert set(sub) == {key for key in moved if key[0] in subset} and sub
-        assert all(np.array_equal(d, deltas[key]) for key, d in sub.items())
-        assert net_none.sgd_step(grads) == {}
-        for n in (net_sub, net_none):
-            for l, other in zip(net.layers, n.layers):
-                for k, v in l.params.items():
-                    assert np.array_equal(v.view(np.uint32), other.params[k].view(np.uint32))
+        before = {(l.name, k): v.copy() for l in net.layers for k, v in l.params.items()}
+        assert net.sgd_step(grads) is None
+        moved = 0
         for l in net.layers:
+            lr = net.lr_mult[l.name]
             for k, v in l.params.items():
-                diff = v.astype(np.float64) - before[(l.name, k)]
-                if (l.name, k) in deltas:
-                    assert deltas[(l.name, k)].dtype == np.float64
-                    assert np.array_equal(deltas[(l.name, k)], diff)
-                else:
-                    assert not diff.any()
-    assert ("conv1", "w") not in deltas and net.lr_mult["conv1"] == 0.0
+                want = before[(l.name, k)]
+                if lr != 0.0:
+                    want = want - (lr * grads[l.name][k].astype(np.float64)).astype(np.float32)
+                    moved += 1
+                assert np.array_equal(v.view(np.uint32), want.view(np.uint32)), (l.name, k)
+        assert moved == sum(len(g) for ln, g in grads.items() if net.lr_mult[ln] != 0.0)
+        assert moved and (frozen or moved == len(before))
+    assert net.lr_mult["conv1"] == 0.0
 
 
 def test_lr_mult_zero_everywhere_keeps_parameters():

@@ -89,7 +89,7 @@ def test_label_count_must_match_row_count(n_labels):
 
 def test_empty_batch_warns_and_is_noop():
     rm = ReplayMemory(10, SeededRng(2))
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="ReplayMemory.update called with an empty batch"):
         added, replaced = rm.update(np.zeros((0, 4), dtype=np.float32),
                                     np.zeros(0, dtype=np.int64), 1)
     assert (added, replaced) == (0, 0)
@@ -209,6 +209,11 @@ def test_compose_counts_invariants():
         assert n_nat >= 0 and n_rep >= 0
         assert n_rep <= rm_n
         assert len(set(idx.tolist())) == len(idx)
+
+
+def test_sample_negative_count_raises():
+    with pytest.raises(ValueError):
+        _memory_with(10).sample(-2)
 
 
 def test_compose_with_replacement_fallback_warns():

@@ -85,6 +85,18 @@ def test_choice_too_many_raises():
         SeededRng(13).choice(5, 6)
 
 
+def test_negative_counts_raise_and_leave_the_stream():
+    r = SeededRng(15)
+    r.next_u64(3)
+    with pytest.raises(ValueError):
+        r.next_u64(-2)
+    with pytest.raises(ValueError):
+        r.choice(5, -1)
+    with pytest.raises(ValueError):
+        r.choice(5, -1, replace=True)
+    assert np.array_equal(r.next_u64(2), SeededRng(15).next_u64(5)[3:])
+
+
 def test_permutation_covers_range():
     p = SeededRng(14).permutation(31)
     assert sorted(p.tolist()) == list(range(31))

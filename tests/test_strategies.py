@@ -104,23 +104,48 @@ def si_for(net=None, **kw):
     return net, SiState(net, **kw)
 
 
+def ones_step(net, key, lr):
+    """One SGD step of ``key``'s layer at rate ``lr`` along an all-ones
+    gradient; returns the gradients."""
+    grads = {key[0]: {key[1]: np.ones_like(net.layer(key[0]).params[key[1]])}}
+    net.lr_mult[key[0]] = lr
+    net.sgd_step(grads)
+    return grads
+
+
 def test_si_accumulate_zero_step():
     net, si = si_for()
     key = si.keys[0]
     before = si.omega[key].copy()
-    grads = {key[0]: {key[1]: np.ones_like(net.layer(key[0]).params[key[1]])}}
-    delta = {key: np.zeros_like(si.omega[key])}
-    si.accumulate(grads, delta)
+    si.accumulate(net, ones_step(net, key, 0.0))
     assert np.array_equal(si.omega[key], before)
 
 
 def test_si_accumulate_sign_convention():
     net, si = si_for()
     key = si.keys[0]
-    grads = {key[0]: {key[1]: np.ones_like(net.layer(key[0]).params[key[1]])}}
-    delta = {key: np.full_like(si.omega[key], -0.1)}
-    si.accumulate(grads, delta)
+    si.accumulate(net, ones_step(net, key, 0.1))
     assert np.allclose(si.omega[key], 0.1)
+
+
+def test_si_accumulate_takes_each_step_from_the_last():
+    """delta_theta is the step's own, also after a consolidate and after a
+    move outside SGD that consolidate saw."""
+    net, si = si_for()
+    key = si.keys[0]
+    arr = net.layer(key[0]).params[key[1]]
+    want = np.zeros_like(si.omega[key])
+    for lr in (0.1, 0.2):
+        theta = arr.astype(np.float64)
+        grads = ones_step(net, key, lr)
+        si.accumulate(net, grads)
+        want += -(arr.astype(np.float64) - theta)
+        assert np.array_equal(si.omega[key], want), lr
+    arr += 1.0
+    si.consolidate(net, is_first_batch=True)
+    theta = arr.astype(np.float64)
+    si.accumulate(net, ones_step(net, key, 0.3))
+    assert np.array_equal(si.omega[key], theta - arr.astype(np.float64))
 
 
 def test_si_trajectory_tracks_loss_drop_on_quadratic():
@@ -265,35 +290,56 @@ SMALL_STREAM = ScenarioParams(classes=4, instances_per_class=2, frames_per_sessi
                               test_frames_per_instance=5)
 
 
-def test_si_penalty_skipping_frozen_layers_keeps_the_loss_trace(monkeypatch):
-    scen = generate_tinynic(SMALL_STREAM, seed=3)
-    skipped = SiState.penalty
-    frozen_checks = []
+def train_ar1_latent(tap, guard_all=False, after_batch=lambda trainer: None):
+    """ar1* with a latent memory over SMALL_STREAM; ``guard_all`` swaps in an
+    SI that guards every below-head key and penalises them all."""
+    net = build_tinynic_network(classes=4, seed=1, width=4, tap=tap)
+    cfg = StrategyConfig(strategy="ar1*", replay_kind="latent", rm_capacity=30,
+                         epochs=1, mb=16, lr_first=0.03, lr_head=0.09, lr_other=0.009)
+    trainer = ContinualTrainer(net, cfg, seed=1)
+    if guard_all:
+        si = trainer.si = SiState(net)
 
-    def checked(si, net):
-        for ln, pn in si.keys:
-            if net.lr_mult[ln] == 0.0:
-                theta = net.layer(ln).params[pn].astype(np.float64)
-                assert np.all(theta - si.theta_ref[(ln, pn)] == 0.0), (ln, pn)
-                frozen_checks.append((ln, pn))
-        return skipped(si, net)
+        def penalty(net):
+            for ln, pn in si.keys:  # a layer at rate 0 has not left theta_ref
+                if net.lr_mult[ln] == 0.0:
+                    theta = net.layer(ln).params[pn].astype(np.float64)
+                    assert np.all(theta - si.theta_ref[(ln, pn)] == 0.0), (ln, pn)
+            return penalty_all_keys(si, net)
+        si.penalty = penalty
+    trace = []
+    for batch in generate_tinynic(SMALL_STREAM, seed=3).batches:
+        trace += trainer.train_batch(batch.x, batch.y).loss_trace
+        after_batch(trainer)
+    return trainer, np.array(trace)
 
-    def run(penalty):
-        monkeypatch.setattr(SiState, "penalty", penalty)
-        net = build_tinynic_network(classes=4, seed=1, width=4, tap="pool")
-        cfg = StrategyConfig(strategy="ar1*", replay_kind="latent", rm_capacity=30,
-                             epochs=1, mb=16, lr_first=0.03, lr_head=0.09, lr_other=0.009)
-        trainer = ContinualTrainer(net, cfg, seed=1)
-        trace = []
-        for batch in scen.batches:
-            trace += trainer.train_batch(batch.x, batch.y).loss_trace
-        return np.array(trace), trainer.si
 
-    trace, si = run(checked)
-    ref_trace, _ = run(penalty_all_keys)
-    assert frozen_checks
-    assert any(si.importance[k].any() for k in frozen_checks)
-    assert np.array_equal(trace.view(np.uint64), ref_trace.view(np.uint64))
+@pytest.mark.parametrize("tap", ["pool", "relu3"])
+def test_si_guarding_every_below_head_layer_gives_the_same_run(tap):
+    """Guarding the pinned lower net too changes no bit: its importance
+    is learned in batch 1 and never used, as it cannot move again."""
+    trainer, trace = train_ar1_latent(tap)
+    every, every_trace = train_ar1_latent(tap, guard_all=True)
+    assert np.array_equal(trace.view(np.uint64), every_trace.view(np.uint64))
+    for l, other in zip(trainer.net.layers, every.net.layers):
+        for k, v in l.params.items():
+            assert np.array_equal(v.view(np.uint32), other.params[k].view(np.uint32)), (l.name, k)
+    unguarded = set(every.si.keys) - set(trainer.si.keys)
+    assert unguarded and any(every.si.importance[k].any() for k in unguarded)
+    for k in trainer.si.keys:
+        assert np.array_equal(trainer.si.importance[k], every.si.importance[k]), k
+
+
+def test_si_importance_above_the_tap_stays_within_max_f():
+    """Criterion 8's F bound, after every batch, where SI guards a strict,
+    non-empty subset."""
+    def check(trainer):
+        for f in trainer.si.importance.values():
+            assert np.all(f >= 0.0) and np.all(f <= trainer.si.max_f)
+
+    si = train_ar1_latent("relu3", after_batch=check)[0].si
+    assert si.keys
+    assert any(f.any() for f in si.importance.values())
 
 
 @pytest.mark.parametrize("kw, where", [
@@ -590,12 +636,12 @@ def test_head_steps_at_exactly_lr_head():
     _, dl = softmax_xent(logits, y2[:16])
     grads = net.backward(dl)
     head = net.layer("fc")
-    for arr in head.params.values():  # from 0 the applied step is the delta exactly
+    for arr in head.params.values():  # from 0 the new value is the step exactly
         arr[...] = 0.0
-    deltas = net.sgd_step(grads, ["fc"])
+    net.sgd_step(grads)
     for k, g in grads["fc"].items():
         want = -(0.09 * g.astype(np.float64)).astype(np.float32)
-        assert np.array_equal(deltas[("fc", k)], want.astype(np.float64)), k
+        assert np.array_equal(head.params[k].view(np.uint32), want.view(np.uint32)), k
 
 
 # strategy: (CWR head, SI, DSLDA, only the head trains after batch 1)
@@ -716,21 +762,37 @@ def test_cached_evaluation_has_predicts_bits_and_follows_content(case):
     check(test_x)
 
 
-@pytest.mark.parametrize("tap, later", [("pool", 0), ("relu3", 1)])
-def test_si_accumulates_only_while_its_layers_train(tap, later):
-    """ar1* with a latent memory: at pool only the head, which SI does not
-    guard, trains after batch 1, so SI accumulates in batch 1 alone; at
-    relu3 the layers above the tap keep training and accumulating."""
+# case: (tap, replay kind, the layers SI guards; None: every below-head layer)
+SI_GUARDS = {
+    "latent-relu3": ("relu3", "latent", ["conv3_dw", "brn4", "conv3_sep", "brn5"]),
+    "latent-pool": ("pool", "latent", []),
+    "native-relu3": ("relu3", "native", None),
+}
+
+
+@pytest.mark.parametrize("case", SI_GUARDS)
+def test_si_guards_the_layers_that_train_after_batch_1(case):
+    """ar1*: a latent memory pins every layer up to the tap, so SI guards
+    the below-head layers above it (none at pool); a native memory pins
+    nothing. Each guarded layer moves after batch 1, and each other
+    below-head layer does not."""
+    tap, kind, layers = SI_GUARDS[case]
     net = build_tinynic_network(classes=6, seed=34, width=4, tap=tap)
-    cfg = StrategyConfig(strategy="ar1*", replay_kind="latent", rm_capacity=40, epochs=2, mb=8)
+    cfg = StrategyConfig(strategy="ar1*", replay_kind=kind, rm_capacity=40, epochs=2, mb=8,
+                         lr_first=0.03, lr_head=0.09, lr_other=0.009)
     trainer = ContinualTrainer(net, cfg, seed=11)
-    calls = []
-    accumulate = trainer.si.accumulate
-    trainer.si.accumulate = lambda grads, delta: calls.append(1) or accumulate(grads, delta)
-    for i, (x, y) in enumerate(tinynic_batches(4, per_batch=16, seed=36), start=1):
-        calls.clear()
-        steps = trainer.train_batch(x, y).steps
-        assert len(calls) == (steps if i == 1 else later * steps), i
+    if layers is None:
+        layers = [l.name for l in net.layers if l.name != net.head_name]
+    below_head = [(l.name, k) for l in net.layers if l.name != net.head_name for k in l.params]
+    assert trainer.si.keys == [key for key in below_head if key[0] in layers]
+    batches = tinynic_batches(3, per_batch=16, seed=36)
+    trainer.train_batch(*batches[0])
+    after_1 = {(ln, k): net.layer(ln).params[k].copy() for ln, k in below_head}
+    for x, y in batches[1:]:
+        trainer.train_batch(x, y)
+    moved = {ln for ln, k in below_head
+             if not np.array_equal(net.layer(ln).params[k], after_1[(ln, k)])}
+    assert moved == {ln for ln, _ in trainer.si.keys}
 
 
 @pytest.mark.parametrize("memory", [{}, dict(replay_kind="latent", rm_capacity=20),
