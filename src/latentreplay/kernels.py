@@ -9,7 +9,8 @@ Convolutions are GEMMs on the im2col matrix ``[groups, n*ho*wo,
 c_g*kh*kw]`` of the input (Chellapilla et al. 2006, "High Performance
 Convolutional Neural Networks for Document Processing"): one ``np.take``
 from a ``[groups, n, c_g*h*w + 1]`` copy of x, whose last column is the
-zero that padding reads, through a cached per-sample index. conv2d is
+zero that padding reads, through a cached per-sample index; a 1x1,
+stride-1, unpadded conv's matrix is a plain transpose of x. conv2d is
 ``cols @ kern^T`` and dkern ``dy^T @ cols``, one GEMM per group for every
 conv kind. Float32 inputs widen to float64 exactly, so a float32 matrix
 widened a group at a time at each GEMM gives a float64 matrix's bits. dx
@@ -72,6 +73,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0,
     dtype, rows in (n, ho, wo) order and columns in (c, i, j) order."""
     n, c, h, w = x.shape
     c_g = c // groups
+    if kh == kw == 1 and stride == 1 and pad == 0:  # each column is one input plane
+        cols = np.ascontiguousarray(x.reshape(n, groups, c_g, h * w).transpose(1, 0, 3, 2))
+        return cols.reshape(groups, -1, c_g)
     rows = np.zeros((groups, n, c_g * h * w + 1), dtype=x.dtype)
     rows[..., :-1] = x.reshape(n, groups, -1).swapaxes(0, 1)
     cols = np.take(rows.reshape(groups * n, -1), _gather_index(c_g, h, w, kh, kw, stride, pad), 1)
@@ -167,10 +171,14 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
         raise ShapeError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min(initial=0) < 0 or (n and labels.max() >= c):
         raise IndexError(f"label out of range for {c} classes")
+    # in place on one float64 copy; the ufuncs and their order are mean()'s
+    # and the plain formula's, so the loss and dlogits keep their bits
     z = logits.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-logp[np.arange(n), labels].mean())
-    d = np.exp(logp)
-    d[np.arange(n), labels] -= 1.0
-    return loss, (d / n).astype(np.float32)
+    z -= z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))  # log-softmax
+    rows = np.arange(n)
+    loss = float(np.add.reduce(z[rows, labels]) / -n)
+    d = np.exp(z, out=z)
+    d[rows, labels] -= 1.0
+    d /= n
+    return loss, d.astype(np.float32)

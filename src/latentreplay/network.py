@@ -36,6 +36,8 @@ class Network:
         if tap not in names:
             raise ConfigError(f"tap layer {tap!r} not in network")
         self.tap = tap
+        self.tap_index = names.index(tap)
+        self._by_name = dict(zip(names, layers))
         self.head_name = head_name or names[-1]
         if self.head_name not in names:
             raise ConfigError(f"head layer {self.head_name!r} not in network")
@@ -55,10 +57,6 @@ class Network:
         return shapes
 
     @property
-    def tap_index(self) -> int:
-        return next(i for i, l in enumerate(self.layers) if l.name == self.tap)
-
-    @property
     def tap_shape(self) -> tuple:
         return self._shapes[self.tap]
 
@@ -67,10 +65,7 @@ class Network:
         return self._shapes[self.layers[-1].name][-1]
 
     def layer(self, name: str) -> Layer:
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise KeyError(name)
+        return self._by_name[name]
 
     def out_shape_of(self, name: str) -> tuple:
         return self._shapes[name]
@@ -225,14 +220,15 @@ class Network:
         return grads
 
     def sgd_step(self, grads: Gradients) -> None:
-        """theta <- theta - lr_mult(layer) * g; rate 0 skips the layer."""
-        for layer in self.layers:
-            g = grads.get(layer.name)
-            lr = self.lr_mult[layer.name]
+        """theta <- theta - lr_mult(layer) * g for each layer in ``grads``;
+        rate 0 skips the layer. Layers update independently of each other."""
+        for name, g in grads.items():
+            lr = self.lr_mult[name]
             if not g or lr == 0.0:
                 continue
+            params = self._by_name[name].params
             for key, grad in g.items():
-                layer.params[key] -= (lr * grad.astype(np.float64)).astype(np.float32)
+                params[key] -= (lr * grad.astype(np.float64)).astype(np.float32)
 
     # -- serialization -------------------------------------------------------
 

@@ -72,14 +72,17 @@ class ReplayMemory:
             raise StateError("replay memory exceeded capacity")  # pragma: no cover
         return h, replace_n
 
-    def sample(self, k: int, rng: SeededRng | None = None):
+    def sample(self, k: int, rng: SeededRng | None = None, rows: int | None = None):
         """k item indices, uniform without replacement (with-replacement
-        fallback, signalled by a warning, when k exceeds the memory)."""
+        fallback, signalled by one warning per call, when k exceeds the
+        memory). With ``rows``, that many consecutive draws as one
+        ``[rows, k]`` array."""
         rng = rng or self.rng
-        if k > len(self):
+        replace = k > len(self)
+        if replace:
             warnings.warn("minibatch larger than memory; sampling with replacement")
-            return rng.choice(len(self), k, replace=True)
-        return rng.choice(len(self), k)
+        idx = rng.choice_rows(1 if rows is None else rows, len(self), k, replace)
+        return idx[0] if rows is None else idx
 
     def stacked(self, indices) -> tuple[np.ndarray, np.ndarray]:
         return self.payloads[indices], self.labels[indices]

@@ -80,19 +80,25 @@ class SeededRng:
     def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
         """Sample k indices from range(n), uniformly, without replacement
         by default. Always consumes exactly n draws when replace=False."""
+        return self.choice_rows(1, n, k, replace)[0]
+
+    def choice_rows(self, rows: int, n: int, k: int, replace: bool = False) -> np.ndarray:
+        """``rows`` consecutive ``choice(n, k, replace)`` draws as one
+        ``[rows, k]`` array: row j reads the integers draw j would."""
         if k < 0:
             raise ValueError(f"cannot draw {k} indices")
         if replace:
-            return self.randint(0, n, k)
+            return self.randint(0, n, rows * k).reshape(rows, k)
         if k > n:
             raise ValueError(f"cannot draw {k} from {n} without replacement")
-        keys = self.next_u64(n)
+        keys = self.next_u64(rows * n).reshape(rows, n)
         if k == n:
-            return np.argsort(keys, kind="stable")
-        # the n keys are distinct (distinct counters, and the finalizer is a
-        # bijection on u64), so the k smallest in order are the sort's prefix
-        smallest = np.argpartition(keys, k)[:k]
-        return smallest[np.argsort(keys[smallest])]
+            return np.argsort(keys, axis=1, kind="stable")
+        # a row's n keys are distinct (distinct counters, and the finalizer
+        # is a bijection on u64), so its k smallest in order are the sort's prefix
+        smallest = np.argpartition(keys, k, axis=1)[:, :k]
+        row = np.arange(rows)[:, None]
+        return smallest[row, np.argsort(keys[row, smallest], axis=1)]
 
     def permutation(self, n: int) -> np.ndarray:
         return self.choice(n, n)

@@ -32,6 +32,10 @@ from .network import Network
 from .replay import ReplayMemory, compose_minibatch, l1_activation_penalty
 from .rng import SeededRng
 
+# Random keys per batched replay draw: a block of steps reads at most this
+# many (8 bytes each), so an epoch's draws need not fit in memory at once.
+_DRAW_KEYS = 1 << 16
+
 # head "plain", "cwr" (double memory) or "dslda" (LDA on the tap features);
 # si: SI guards the lower weights; head_only: only the head trains after batch 1
 _Preset = namedtuple("_Preset", "head si head_only")
@@ -334,16 +338,19 @@ class ContinualTrainer:
         sparsify = cfg.sparsifier_alpha != 0.0 and i == 1
 
         trace = []
+        steps = np.arange(iterations)[:, None] * n_nat + np.arange(n_nat)
         for _ in range(cfg.epochs):
-            perm = self.rng.permutation(B)
-            for it in range(iterations):
-                nat_idx = perm[(it * n_nat + np.arange(n_nat)) % B]
+            # each step reads its row of the epoch's native index matrix and
+            # of its replay draws, which consume the integers per-step draws would
+            nat = self.rng.permutation(B)[steps % B]
+            reps = self._replay_draws(n_rep, iterations) if n_rep else [None] * iterations
+            for nat_idx, rep_idx in zip(nat, reps):
                 # memory rows are stored where the native rows enter: at the
                 # tap when the lower net is fixed, else at the input
                 rows = x[nat_idx] if taps is None else taps[nat_idx]
                 y_joint = y[nat_idx]
                 if n_rep:
-                    pay, y_rep = self.rm.stacked(self.rm.sample(n_rep, self.rng))
+                    pay, y_rep = self.rm.stacked(rep_idx)
                     y_joint = np.concatenate([y_joint, y_rep])
                     rows = np.concatenate([rows, pay])
                 if taps is None:
@@ -391,6 +398,14 @@ class ContinualTrainer:
         mean_loss = float(np.mean(trace)) if trace else float("nan")
         return BatchReport(i, steps=len(trace), mean_loss=mean_loss,
                            loss_trace=trace, train_ms=ms)
+
+    def _replay_draws(self, k: int, steps: int):
+        """Replay indices for ``steps`` consecutive ``rm.sample(k)`` calls,
+        one row per step, drawn in blocks of at most ``_DRAW_KEYS`` keys."""
+        # a row reads |rm| keys, or k when it samples with replacement
+        block = max(1, _DRAW_KEYS // max(len(self.rm), k))
+        for lo in range(0, steps, block):
+            yield from self.rm.sample(k, self.rng, rows=min(block, steps - lo))
 
     # -- prediction --------------------------------------------------------
 

@@ -291,6 +291,27 @@ def test_im2col_bit_identical_to_sliding_window(name, n):
         assert cols.dtype == np.float32 and same_bits(cols, ref)
 
 
+def im2col_gather(x, kh, kw, stride, pad, groups):
+    """im2col through the gather index, the path every conv but a plain 1x1 takes."""
+    n, c, h, w = x.shape
+    c_g = c // groups
+    rows = np.zeros((groups, n, c_g * h * w + 1), dtype=x.dtype)
+    rows[..., :-1] = x.reshape(n, groups, -1).swapaxes(0, 1)
+    idx = kernels._gather_index(c_g, h, w, kh, kw, stride, pad)
+    return np.take(rows.reshape(groups * n, -1), idx, 1).reshape(groups, -1, c_g * kh * kw)
+
+
+@pytest.mark.parametrize("n", [1, 48, 256])
+@pytest.mark.parametrize("c, hw, groups", [(8, 8, 1), (16, 4, 1), (8, 5, 4), (6, 3, 6)])
+def test_im2col_1x1_transpose_bit_identical_to_gather(c, hw, groups, n):
+    x = SeededRng(16).normal((n, c, hw, hw))
+    ref = im2col_gather(x, 1, 1, 1, 0, groups)
+    for xin in (x, np.asfortranarray(x), np.repeat(x, 2, axis=3)[..., ::2]):
+        cols = kernels.im2col(xin, 1, 1, 1, 0, groups)
+        assert cols.flags.c_contiguous
+        assert cols.dtype == np.float32 and same_bits(cols, ref)
+
+
 def test_depthwise_backward_rejects_short_dy():
     r = SeededRng(17)
     x, kern = r.normal((2, 4, 8, 8)), r.normal((4, 1, 3, 3))
@@ -382,3 +403,39 @@ def test_xent_stable_for_large_logits():
     loss, d = kernels.softmax_xent(logits, np.array([0, 1]))
     assert np.isfinite(loss)
     assert np.isfinite(d).all()
+
+
+def softmax_xent_reference(logits, labels):
+    """The plain formula softmax_xent's in-place form must reproduce bit for bit."""
+    n = len(logits)
+    z = logits.astype(np.float64)
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(n), labels].mean())
+    d = np.exp(logp)
+    d[np.arange(n), labels] -= 1.0
+    return loss, (d / n).astype(np.float32)
+
+
+@pytest.mark.parametrize("spread", [80.0, 0.0])
+@pytest.mark.parametrize("c", [2, 10])
+@pytest.mark.parametrize("n", [1, 48, 256])
+def test_xent_bit_identical_to_reference(n, c, spread):
+    r = SeededRng(n * 100 + c)
+    # spread 0 ties every logit of a row; else they reach +-80
+    logits = (r.uniform((n, c)) * 2.0 - 1.0).astype(np.float32) * np.float32(spread)
+    logits[0, -1] = logits[0, 0]  # a tie in the first row either way
+    labels = r.randint(0, c, n)
+    loss, d = kernels.softmax_xent(logits, labels)
+    ref_loss, ref_d = softmax_xent_reference(logits, labels)
+    assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
+    assert d.dtype == np.float32 and same_bits(d, ref_d)
+
+
+def test_xent_shape_errors():
+    with pytest.raises(ShapeError):
+        kernels.softmax_xent(np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int64))
+    with pytest.raises(ShapeError):
+        kernels.softmax_xent(np.zeros((2, 3), dtype=np.float32), np.zeros(3, dtype=np.int64))
+    with pytest.raises(IndexError):
+        kernels.softmax_xent(np.zeros((2, 3), dtype=np.float32), np.array([-1, 0]))

@@ -133,3 +133,18 @@ def test_choice_is_the_stable_key_sort_prefix(n):
             assert idx.tolist() == order[:k].tolist()
             # exactly n integers consumed, whatever k is
             assert r.next_u64(1)[0] == keys[n]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 40])
+@pytest.mark.parametrize("n", [1, 7, 48, 1500])
+def test_choice_rows_are_consecutive_choice_draws(n, rows):
+    cases = [(k, False) for k in sorted({0, 1, n // 3, n - 1, n})]
+    cases += [(1, True), (n + 5, True)]
+    for k, replace in cases:
+        batched, single = SeededRng(2024), SeededRng(2024)
+        idx = batched.choice_rows(rows, n, k, replace)
+        ref = np.stack([single.choice(n, k, replace) for _ in range(rows)])
+        assert idx.shape == (rows, k) and idx.dtype == ref.dtype
+        assert np.array_equal(idx, ref), (k, replace)
+        # the stream continues where the consecutive draws leave it
+        assert batched.next_u64(1)[0] == single.next_u64(1)[0]

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from latentreplay import strategies
 from latentreplay.errors import ConfigError, ShapeError, StateError
 from latentreplay.kernels import softmax_xent
 from latentreplay.layers import Brn, Dense
@@ -872,3 +873,72 @@ def test_first_batch_lr_then_later_lr():
     trainer.train_batch(x + 1, y)
     assert net.lr_mult["fc"] == 0.003  # lr_head
     assert net.lr_mult["conv1"] == 0.0003 and not net.frozen_below_tap  # lr_other
+
+
+# -- per-epoch replay draws ------------------------------------------------------------
+
+
+def replay_keys_per_batch(trainer, B):
+    """Integers the trainer's RNG should consume over one batch of B rows,
+    given the memory as it stands: the discarded compose_minibatch draw,
+    then per epoch the permutation and one draw per step."""
+    m, mb = len(trainer.rm), trainer.cfg.mb
+    n_nat = max(round(mb * B / (B + m)), 1)
+    per_draw = max(m, mb - n_nat)  # m keys, or one per index with replacement
+    return per_draw + trainer.cfg.epochs * (B + -(-B // n_nat) * per_draw)
+
+
+@pytest.mark.parametrize("draw_keys, blocks", [(None, 1), (70, 3)],
+                         ids=["one-block", "several-blocks"])
+def test_replay_draws_consume_one_key_per_item_per_step(draw_keys, blocks, monkeypatch):
+    """Drawing an epoch's replay rows in blocks reads the integers per-step
+    draws would: the RNG counter grows by the expected count, and the run
+    does not depend on the block size."""
+    def run():
+        net = build_tinynic_network(classes=6, seed=40, width=4, tap="pool")
+        cfg = StrategyConfig(strategy="ar1*free", replay_kind="latent", rm_capacity=40,
+                             epochs=2, mb=8)
+        trainer = ContinualTrainer(net, cfg, seed=12)
+        draws = []
+        sample = trainer.rm.sample
+        trainer.rm.sample = lambda *a, **kw: draws.append(kw.get("rows")) or sample(*a, **kw)
+        trace = []
+        for x, y in tinynic_batches(3, per_batch=16, seed=41):
+            counter, expected = trainer.rng._counter, None
+            if len(trainer.rm):
+                expected = replay_keys_per_batch(trainer, len(x))
+            draws.clear()
+            trace += trainer.train_batch(x, y).loss_trace
+            if expected is not None:
+                assert trainer.rng._counter - counter == expected
+        return trace, draws, net
+
+    ref_trace, _, ref_net = run()
+    if draw_keys is not None:
+        monkeypatch.setattr(strategies, "_DRAW_KEYS", draw_keys)
+    trace, draws, net = run()
+    # batch 3: 32 items and 3 native rows per step, so 6 steps per epoch, 2 per
+    # block of at most 70 keys
+    assert draws == [None] + [6 // blocks] * blocks * 2
+    assert np.array_equal(np.array(trace).view(np.uint64), np.array(ref_trace).view(np.uint64))
+    for la, lb in zip(net.layers, ref_net.layers):
+        for k in la.params:
+            assert np.array_equal(la.params[k].view(np.uint32), lb.params[k].view(np.uint32))
+
+
+def test_replay_with_replacement_warns_once_per_draw():
+    """mb > B + |rm|: every draw falls back to sampling with replacement
+    and warns once, the compose_minibatch draw and each epoch's, which is
+    one step long since the native rows then cover the batch."""
+    net = build_tinynic_network(classes=6, seed=42, width=4, tap="pool")
+    cfg = StrategyConfig(strategy="ar1*free", replay_kind="latent", rm_capacity=5,
+                         epochs=3, mb=64)
+    trainer = ContinualTrainer(net, cfg, seed=13)
+    (x1, y1), (x2, y2) = tinynic_batches(2, per_batch=6, seed=43)
+    trainer.train_batch(x1, y1)
+    counter, expected = trainer.rng._counter, replay_keys_per_batch(trainer, len(x2))
+    with pytest.warns(UserWarning, match="with replacement") as caught:
+        report = trainer.train_batch(x2, y2)
+    assert len([w for w in caught if "with replacement" in str(w.message)]) == 1 + cfg.epochs
+    assert trainer.rng._counter - counter == expected
+    assert np.isfinite(report.loss_trace).all()
