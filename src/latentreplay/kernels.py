@@ -14,9 +14,12 @@ stride-1, unpadded conv's matrix is a plain transpose of x. conv2d is
 ``cols @ kern^T`` and dkern ``dy^T @ cols``, one GEMM per group for every
 conv kind. Float32 inputs widen to float64 exactly, so a float32 matrix
 widened a group at a time at each GEMM gives a float64 matrix's bits. dx
-adds each kernel tap's plane, in (i, j) order, into a padded float64
-buffer with the batch innermost: dy times the tap's weights for a
-depthwise conv (one channel in, one filter per group), else ``dy @ kern``.
+adds each kernel tap's plane, in (i, j) order, into a zeroed, padded
+``[h+2p, w+2p, c*n]`` float64 buffer: dy, transposed once to ``[ho, wo, c*n]``,
+times the tap's weights as one ``[c*n]`` row, into one reused plane, for a
+depthwise conv (one channel in, one filter per group), else the tap's
+slice of ``dy @ kern`` in the same layout. The zero start keeps a sum of
+``-0.0`` planes at ``+0.0``.
 
 conv2d returns a C-contiguous array. Batch Renormalization reduces its
 float64 moments over axes (0, 2, 3) in memory order, so the same values
@@ -132,16 +135,19 @@ def conv2d_backward_from_cols(cols: np.ndarray, x_shape: tuple, kern: np.ndarray
     if not need_dx:
         return None, dkern
     if c_g == 1 and f == groups:
-        dyt = np.ascontiguousarray(dy.transpose(1, 2, 3, 0), dtype=np.float64)
-        planes = (dyt * k for k in kern.reshape(c, -1, 1, 1, 1).astype(np.float64).swapaxes(0, 1))
+        dyt = np.ascontiguousarray(dy.transpose(2, 3, 1, 0), dtype=np.float64)
+        dyt = dyt.reshape(ho, wo, c * n)
+        plane = np.empty_like(dyt)
+        taps = kern.reshape(c, kh * kw).T.astype(np.float64).repeat(n, axis=1)
+        planes = (np.multiply(dyt, k, out=plane) for k in taps)
     else:
         dcols = dyg @ kern.reshape(groups, -1, c_g * kh * kw).astype(np.float64)
-        dcols = dcols.reshape(groups, n, ho, wo, c_g, kh * kw).transpose(5, 0, 4, 2, 3, 1)
-        planes = (d.reshape(c, ho, wo, n) for d in dcols)
-    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n))
+        dcols = dcols.reshape(groups, n, ho, wo, c_g, kh * kw).transpose(5, 2, 3, 0, 4, 1)
+        planes = (d.reshape(ho, wo, c * n) for d in dcols)
+    dxp = np.zeros((h + 2 * pad, w + 2 * pad, c * n))
     for (i, j), plane in zip(np.ndindex(kh, kw), planes):
-        dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += plane
-    dx = dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+        dxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += plane
+    dx = dxp[pad:pad + h, pad:pad + w].reshape(h, w, c, n).transpose(3, 2, 0, 1)
     return np.ascontiguousarray(dx, dtype=np.float32), dkern
 
 

@@ -9,6 +9,8 @@ batch above it).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
@@ -57,12 +59,12 @@ class Dense(Layer):
         return y, x
 
     def backward(self, dy, cache, need_dx=True):
-        x = cache
-        dw = (x.astype(np.float64).T @ dy.astype(np.float64)).astype(np.float32)
-        db = dy.astype(np.float64).sum(axis=0).astype(np.float32)
+        x, dyf = cache, dy.astype(np.float64)
+        dw = (x.astype(np.float64).T @ dyf).astype(np.float32)
+        db = dyf.sum(axis=0).astype(np.float32)
         if not need_dx:
             return None, {"w": dw, "b": db}
-        dx = (dy.astype(np.float64) @ self.params["w"].astype(np.float64).T).astype(np.float32)
+        dx = (dyf @ self.params["w"].astype(np.float64).T).astype(np.float32)
         return dx, {"w": dw, "b": db}
 
 
@@ -126,6 +128,17 @@ class Relu(Layer):
         return (dy * cache).astype(np.float32, copy=False), {}
 
 
+def _rows(a):
+    """C-ordered [n, c, ...] a as its [n, c*h*w] view, and h*w.
+
+    ``v.repeat(h*w)`` lays a per-channel vector v out as one row of the
+    view, so broadcasting it runs one c*h*w-long inner loop per sample
+    where a [1, c, 1, 1] view over [n, c, h, w] runs one per plane.
+    """
+    hw = math.prod(a.shape[2:])
+    return a.reshape(len(a), a.shape[1] * hw), hw
+
+
 class Brn(Layer):
     """Batch Renormalization.
 
@@ -140,13 +153,16 @@ class Brn(Layer):
     keeps the input, and backward recomputes xhat from it with the
     moments it reads for dx, the ones current at backward time.
 
-    Forward and backward work in place on one float64 copy, but apply the
-    ufuncs of the plain formulas in the same order to the same values,
-    so the bits are theirs: batch moments are ``add.reduce / count``, as
-    ``mean`` and ``var`` compute them; the centred input ``x - mu_b``
-    serves both the variance and xhat, as in ``var``; and
-    y = ``gamma * (xhat * r + d) + beta`` is built as
-    ``xhat*r, +d, *gamma, +beta``. r and d are clipped with
+    Forward and backward work in place on one C-ordered float64 copy of
+    x (and of dy), whatever x's layout, but apply the ufuncs of the plain
+    formulas in the same order to the same values, so the bits are
+    theirs: batch moments are ``add.reduce`` over axes (0, 2, 3) of the
+    4-D copy ``/ count``, as ``mean`` and ``var`` compute them; the
+    centred input ``x - mu_b`` serves both the variance and xhat, as in
+    ``var``; and y = ``gamma * (xhat * r + d) + beta`` is built as
+    ``xhat*r, +d, *gamma, +beta`` in the buffer that held the square.
+    Per-channel vectors are broadcast as planes over the copy's
+    [n, c*h*w] view (``_rows``). r and d are clipped with
     ``minimum(maximum(.))``, which equals ``clip`` except for the sign of
     a zero d when ``d_max`` is 0.
     """
@@ -173,72 +189,69 @@ class Brn(Layer):
             raise ShapeError(f"{self.name}: expected {self.channels} channels, got {c}")
         return in_shape
 
-    def _bview(self, per_channel, ndim):
-        if ndim == 4:
-            return per_channel.reshape(1, -1, 1, 1)
-        return per_channel.reshape(1, -1)
-
     def _moving_xhat(self, x):
-        """(x - mu_mov) / sigma_mov as a new float64 array."""
-        xhat = x.astype(np.float64)
-        xhat -= self._bview(self.mu_mov, x.ndim)
-        xhat /= self._bview(self.sigma_mov, x.ndim)
-        return xhat
+        """(x - mu_mov) / sigma_mov as a new float64 array, its [n, c*h*w] view and h*w."""
+        xhat = x.astype(np.float64, order="C")
+        flat, hw = _rows(xhat)
+        flat -= self.mu_mov.repeat(hw)
+        flat /= self.sigma_mov.repeat(hw)
+        return xhat, flat, hw
 
     def forward(self, x, mode):
         axes = (0, 2, 3) if x.ndim == 4 else (0,)
-        gamma = self._bview(self.params["gamma"].astype(np.float64), x.ndim)
-        beta = self._bview(self.params["beta"].astype(np.float64), x.ndim)
         if mode == TRAIN and not self.moments_frozen:
             count = x.size // x.shape[1]
-            xhat = x.astype(np.float64)
+            xhat = x.astype(np.float64, order="C")
+            flat, hw = _rows(xhat)
             mu_b = np.add.reduce(xhat, axis=axes) / count
-            xhat -= self._bview(mu_b, x.ndim)
-            sigma_b = np.sqrt(np.add.reduce(xhat * xhat, axis=axes) / count + self.eps)
-            xhat /= self._bview(sigma_b, x.ndim)
+            flat -= mu_b.repeat(hw)
+            y = np.multiply(xhat, xhat)
+            sigma_b = np.sqrt(np.add.reduce(y, axis=axes) / count + self.eps)
+            flat /= sigma_b.repeat(hw)
             r = np.minimum(np.maximum(sigma_b / self.sigma_mov, 1.0 / self.r_max), self.r_max)
             d = np.minimum(np.maximum((mu_b - self.mu_mov) / self.sigma_mov, -self.d_max),
                            self.d_max)
-            y = xhat * self._bview(r, x.ndim)
-            y += self._bview(d, x.ndim)
+            yflat = np.multiply(flat, r.repeat(hw), out=_rows(y)[0])
+            yflat += d.repeat(hw)
             self.mu_mov = self.avg_rate * self.mu_mov + (1 - self.avg_rate) * mu_b
             self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
             cache = ("batch", xhat, sigma_b, r, d)
         else:
-            y = self._moving_xhat(x)
+            y, yflat, hw = self._moving_xhat(x)
             cache = ("moving", x)
-        y *= gamma
-        y += beta
+        yflat *= self.params["gamma"].astype(np.float64).repeat(hw)
+        yflat += self.params["beta"].astype(np.float64).repeat(hw)
         return y.astype(np.float32), cache
 
     def backward(self, dy, cache, need_dx=True):
-        gamma = self._bview(self.params["gamma"].astype(np.float64), dy.ndim)
         axes = (0, 2, 3) if dy.ndim == 4 else (0,)
-        dyf = dy.astype(np.float64)
+        dyf = dy.astype(np.float64, order="C")
+        flat, hw = _rows(dyf)
         dbeta = np.add.reduce(dyf, axis=axes)
         if cache[0] == "batch":
             _, xhat, sigma_b, r, d = cache
             count = dy.size // dy.shape[1]
-            rb = self._bview(r, dy.ndim)
-            t = xhat * rb
-            t += self._bview(d, dy.ndim)
-            t *= dyf
+            rp, xflat = r.repeat(hw), _rows(xhat)[0]
+            tflat = np.multiply(xflat, rp)
+            t = tflat.reshape(dyf.shape)
+            tflat += d.repeat(hw)
+            tflat *= flat
             dgamma = np.add.reduce(t, axis=axes)
-            dyf *= gamma
-            dyf *= rb  # dxhat
+            flat *= self.params["gamma"].astype(np.float64).repeat(hw)
+            flat *= rp  # dxhat
             m_d = np.add.reduce(dyf, axis=axes) / count
-            np.multiply(dyf, xhat, out=t)
+            np.multiply(flat, xflat, out=tflat)
             m_dx = np.add.reduce(t, axis=axes) / count
-            dyf -= self._bview(m_d, dy.ndim)
-            np.multiply(xhat, self._bview(m_dx, dy.ndim), out=t)
-            dyf -= t
-            dyf /= self._bview(sigma_b, dy.ndim)
+            flat -= m_d.repeat(hw)
+            np.multiply(xflat, m_dx.repeat(hw), out=tflat)
+            flat -= tflat
+            flat /= sigma_b.repeat(hw)
         else:
-            t = self._moving_xhat(cache[1])
-            t *= dyf
+            t, tflat, _ = self._moving_xhat(cache[1])
+            tflat *= flat
             dgamma = np.add.reduce(t, axis=axes)
-            dyf *= gamma
-            dyf /= self._bview(self.sigma_mov, dy.ndim)
+            flat *= self.params["gamma"].astype(np.float64).repeat(hw)
+            flat /= self.sigma_mov.repeat(hw)
         return dyf.astype(np.float32), {"gamma": dgamma.astype(np.float32),
                                         "beta": dbeta.astype(np.float32)}
 

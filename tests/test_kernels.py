@@ -269,6 +269,32 @@ def test_conv_input_layout_does_not_change_bits(pad):
                                                    kernels.conv2d_backward(x, kern, ref, 1, pad)))
 
 
+@pytest.mark.parametrize("n", [1, 3, 48])
+@pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_depthwise_dx_of_negative_zero_taps_is_positive_zero(stride, pad, n):
+    """Where every tap that reaches an input pixel gives -0.0 (a zero
+    kernel tap against a negative dy, or a dy of -0.0), dx reads +0.0, as
+    the einsum's zero-started sum does. An accumulator that started from
+    the first tap's plane would keep its -0.0."""
+    c, hw, k = 4, 7, 3
+    r = SeededRng(18)
+    x = r.normal((n, c, hw, hw))
+    ho = kernels.conv_out_extent(hw, k, stride, pad)
+    neg_dy = -np.abs(r.normal((n, c, ho, ho))) - np.float32(1)
+    # kernel rows 0..pad are the only ones that reach input row 0
+    zero_top = np.abs(r.normal((c, 1, k, k))) + np.float32(0.5)
+    zero_top[:, :, :pad + 1] = 0
+    cases = [(np.zeros((c, 1, k, k), dtype=np.float32), neg_dy, slice(None)),
+             (zero_top, neg_dy, slice(0, 1)),
+             (np.abs(r.normal((c, 1, k, k))), np.full_like(neg_dy, -0.0), slice(None))]
+    for i, (kern, dy, rows) in enumerate(cases):
+        dx, _ = kernels.conv2d_backward(x, kern, dy, stride, pad, c)
+        dx_ref, _ = conv2d_backward_einsum(x, kern, dy, stride, pad, c)
+        assert same_bits(dx, dx_ref), f"case {i}"
+        zero = dx[:, :, rows]
+        assert not zero.any() and not np.signbit(zero).any(), f"case {i}"
+
+
 def im2col_reference(x, kh, kw, stride, pad, groups):
     """im2col from a sliding_window_view of np.pad's padded copy."""
     n, c, h, w = x.shape

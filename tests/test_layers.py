@@ -305,6 +305,11 @@ class BrnReference(Brn):
     temporaries, with xhat kept in the moving-moment cache. Bitwise
     reference for the layer."""
 
+    def _bview(self, per_channel, ndim):
+        if ndim == 4:
+            return per_channel.reshape(1, -1, 1, 1)
+        return per_channel.reshape(1, -1)
+
     def forward(self, x, mode):
         axes = (0, 2, 3) if x.ndim == 4 else (0,)
         gamma = self._bview(self.params["gamma"].astype(np.float64), x.ndim)
@@ -397,3 +402,35 @@ def test_brn_matches_reference_bitwise(shape, n, mode):
     assert len(new) == len(ref) == (18 if mode == "train" else 10)
     for i, (a, b) in enumerate(zip(new, ref)):
         assert same_bits(a, b), f"output {i} differs"
+
+
+@pytest.mark.parametrize("mode", ["train", "eval", "frozen"])
+@pytest.mark.parametrize("shape", BRN_SHAPES, ids=str)
+def test_brn_input_layout_does_not_change_bits(shape, mode):
+    """Brn works on C-ordered float64 copies of x and dy, so a
+    Fortran-ordered or a transposed-view x and dy give the bits of their
+    C-contiguous copies: y, dx, dgamma, dbeta and the moving moments."""
+    c = shape[0]
+    r = SeededRng(2000 + int(np.prod(shape)))
+    mu, sigma = 0.5 * r.normal((c,)).astype(np.float64), 0.4 + 3.0 * r.uniform((c,))
+    x = (1.7 * r.normal((48,) + shape) + 0.4).astype(np.float32)
+    dy = r.normal((48,) + shape)
+
+    def run(x, dy):
+        layer = Brn("b", c, avg_rate=0.9)
+        layer.mu_mov, layer.sigma_mov = mu.copy(), sigma.copy()
+        layer.moments_frozen = mode == "frozen"
+        y, cache = layer.forward(x, "eval" if mode == "eval" else "train")
+        dx, g = layer.backward(dy, cache)
+        return [y, dx, g["gamma"], g["beta"], layer.mu_mov, layer.sigma_mov]
+
+    ref = run(x, dy)
+    perm = (0, 2, 3, 1) if len(shape) == 3 else (1, 0)
+    back = tuple(np.argsort(perm))
+    for layout in (np.asfortranarray,
+                   lambda a: np.ascontiguousarray(a.transpose(perm)).transpose(back)):
+        xl, dyl = layout(x), layout(dy)
+        assert not xl.flags.c_contiguous and not dyl.flags.c_contiguous
+        got = run(xl, dyl)
+        for i, (a, b) in enumerate(zip(got, ref)):
+            assert same_bits(a, b), f"output {i} differs"
