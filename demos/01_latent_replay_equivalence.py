@@ -28,7 +28,7 @@ replay_y = np.arange(20) % 4
 net_latent = toy_net(seed=7)
 net_native = toy_net(seed=7)
 for net in (net_latent, net_native):
-    net.freeze_below_tap()  # rate 0 and pinned BRN moments
+    net.freeze_below_tap()  # rate 0 below the tap: the lower part runs in eval mode
     net.lr_mult.update(upper_norm=0.05, head=0.05)
 
 # the external memory of the latent run stores tap activations once

@@ -54,16 +54,11 @@ class LayerCostTable:
         return [r.name for r in self.rows]
 
     def row(self, name: str) -> CostRow:
-        if name not in self._index:
-            raise KeyError(f"unknown layer {name!r}")
         return self.rows[self._index[name]]
 
     def ops_above(self, name: str) -> int:
         """Ops of the rows strictly after ``name``."""
-        i = self._index.get(name)
-        if i is None:
-            raise KeyError(f"unknown layer {name!r}")
-        return sum(r.ops for r in self.rows[i + 1:])
+        return sum(r.ops for r in self.rows[self._index[name] + 1:])
 
     # -- IO -------------------------------------------------------------
 
@@ -135,6 +130,8 @@ BUNDLED_REPLAY_CANDIDATES = [
 def computation_pct(table: LayerCostTable, replay_layer: str) -> float:
     """Partial-forward cost from the replay layer on, as a percentage of
     a full forward pass."""
+    if table.total_ops == 0:
+        raise ConfigError("cost table ops sum to 0: no computation share is defined")
     return 100.0 * table.ops_above(replay_layer) / table.total_ops
 
 
@@ -163,6 +160,9 @@ def format_mb(nbytes: int) -> str:
 def tradeoff_table(table: LayerCostTable, candidates, rm_size: int,
                    bytes_per_elem: int = 1):
     """Rows of (layer, computation %, pattern size, footprint bytes)."""
+    unknown = [name for name in candidates if name not in table.names()]
+    if unknown:
+        raise ConfigError(f"unknown candidate layer(s) {unknown}; the table has {table.names()}")
     out = []
     for name in candidates:
         elems = pattern_size(table, name)

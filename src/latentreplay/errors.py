@@ -28,6 +28,16 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def require_shape(name: str, value, error=ConfigError) -> tuple:
+    """``value`` as a tuple, if it is a non-empty list (or tuple) of integers
+    >= 1, none a bool; else ``error``."""
+    if (not isinstance(value, (list, tuple)) or not value
+            or any(isinstance(e, bool) or not isinstance(e, numbers.Integral) or e < 1
+                   for e in value)):
+        raise error(f"{name} must be a non-empty list of integers >= 1, got {value!r}")
+    return tuple(value)
+
+
 def require_bool(name: str, value) -> None:
     """ConfigError unless ``value`` is a bool (JSON true or false)."""
     if not isinstance(value, bool):

@@ -143,11 +143,8 @@ class Brn(Layer):
     """Batch Renormalization.
 
     Train mode normalizes with batch moments corrected by r, d clipped
-    against the moving moments; eval mode uses the moving moments. When
-    ``moments_frozen`` is set the layer is a fixed affine normalizer:
-    it applies the eval formula in both modes and never updates moments,
-    which keeps stored latent activations exactly reproducible.
-    ``Network.freeze_below_tap`` sets it on every BRN at or below the tap.
+    against the moving moments, and moves the moving moments; eval mode
+    uses the moving moments and leaves them as they are.
 
     r and d are treated as constants in backward. A moving-moment cache
     keeps the input, and backward recomputes xhat from it with the
@@ -175,7 +172,6 @@ class Brn(Layer):
         self.channels = channels
         self.r_max, self.d_max = float(r_max), float(d_max)
         self.avg_rate, self.eps = float(avg_rate), float(eps)
-        self.moments_frozen = False
         self.params = {
             "gamma": np.ones(channels, dtype=np.float32),
             "beta": np.zeros(channels, dtype=np.float32),
@@ -199,7 +195,7 @@ class Brn(Layer):
 
     def forward(self, x, mode):
         axes = (0, 2, 3) if x.ndim == 4 else (0,)
-        if mode == TRAIN and not self.moments_frozen:
+        if mode == TRAIN:
             count = x.size // x.shape[1]
             xhat = x.astype(np.float64, order="C")
             flat, hw = _rows(xhat)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError, require_finite
+from .errors import ConfigError, ShapeError, StateError, require_finite, require_int, require_shape
 from .layers import Brn, Conv, Dense, DwConv, Flatten, GlobalAvgPool, Layer, Relu, EVAL, TRAIN
 from .rng import SeededRng
 
@@ -21,6 +21,9 @@ Gradients = dict  # layer name -> {param name -> gradient array}
 # share its pass, so this bounds the scratch memory of evaluation and of
 # tap extraction without changing a bit of their output.
 _EVAL_ROWS = 64
+
+# a layer spec's integer fields and the least value of each
+_INT_FIELDS = {"units": 1, "out_channels": 1, "kernel": 1, "stride": 1, "pad": 0, "groups": 1}
 
 
 class Network:
@@ -44,17 +47,11 @@ class Network:
         # per-layer learning rates, which sgd_step applies as given (absolute
         # rates despite the name); a rate of 0 freezes the layer
         self.lr_mult = {n: 1.0 for n in names}
-        self._shapes = self._propagate_shapes()
+        self._shapes, cur = {}, self.input_shape  # layer name -> its output shape
+        for layer in layers:
+            cur = self._shapes[layer.name] = layer.out_shape(cur)
 
     # -- shape bookkeeping -------------------------------------------------
-
-    def _propagate_shapes(self):
-        shapes = {}
-        cur = self.input_shape
-        for layer in self.layers:
-            cur = layer.out_shape(cur)
-            shapes[layer.name] = cur
-        return shapes
 
     @property
     def tap_shape(self) -> tuple:
@@ -78,12 +75,10 @@ class Network:
         return all(self.lr_mult[l.name] == 0.0 for l in self.layers[:self.tap_index + 1])
 
     def freeze_below_tap(self) -> None:
-        """Set the rate of every layer at or below the tap to 0 and pin the
-        BRN moving moments there as they stand: the lower net is fixed."""
+        """Set the rate of every layer at or below the tap to 0: the lower
+        net is fixed, and every pass runs it in eval mode (see _forward)."""
         for layer in self.layers[:self.tap_index + 1]:
             self.lr_mult[layer.name] = 0.0
-            if isinstance(layer, Brn):
-                layer.moments_frozen = True
 
     # -- forward ---------------------------------------------------------------
 
@@ -101,7 +96,8 @@ class Network:
 
         A train-mode pass records exactly what backward walks: the upper
         part's caches always, the lower part's only when there are native
-        rows and the lower part trains.
+        rows and the lower part trains; else the lower part runs in eval
+        mode, as in ``tap_activations``, and its BRN moments stay put.
         """
         n_native = 0 if x is None else len(x)
         n_rows = n_native + (0 if latent is None else len(latent))
@@ -118,7 +114,7 @@ class Network:
         tapped = np.zeros((0,) + self.tap_shape, dtype=np.float32)
         joint = latent
         if n_native:
-            out = self._run(self.layers[:ti + 1], x, mode, below)
+            out = self._run(self.layers[:ti + 1], x, EVAL if below is None else mode, below)
             tapped = out.copy()
             joint = np.concatenate([out, latent], axis=0) if n_rows > n_native else out
         logits = self._run(self.layers[ti + 1:], joint, mode, above)
@@ -235,17 +231,23 @@ class Network:
     @staticmethod
     def from_spec(doc: dict, seed: int = 0) -> "Network":
         rng = SeededRng(seed).spawn(0xA11C)
-        input_shape = tuple(doc["input_shape"])
+        input_shape = require_shape("input_shape", doc["input_shape"])
         cur = input_shape
         layers: list[Layer] = []
         for item in doc["layers"]:
             kind, name = item["kind"], item["name"]
+            for key in item:
+                if key in _INT_FIELDS:
+                    require_int(f"{name}.{key}", item[key], _INT_FIELDS[key])
             if kind == "dense":
                 layers.append(Dense(name, cur[0], item["units"], rng=rng))
             elif kind == "conv":
-                layers.append(Conv(name, cur[0], item["out_channels"], item["kernel"],
-                                   item.get("stride", 1), item.get("pad", 0),
-                                   item.get("groups", 1), rng=rng))
+                out, groups = item["out_channels"], item.get("groups", 1)
+                if cur[0] % groups or out % groups:
+                    raise ConfigError(f"{name}.groups {groups} must divide its {cur[0]} "
+                                      f"in and {out} out channels")
+                layers.append(Conv(name, cur[0], out, item["kernel"], item.get("stride", 1),
+                                   item.get("pad", 0), groups, rng=rng))
             elif kind == "dwconv":
                 layers.append(DwConv(name, cur[0], item["kernel"],
                                      item.get("stride", 1), item.get("pad", 0), rng=rng))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TensorFormatError, require_finite, require_int
+from .errors import ConfigError, TensorFormatError, require_finite, require_int, require_shape
 from .network import Network
 from .rng import SeededRng
 from .strategies import ContinualTrainer, StrategyConfig
@@ -42,11 +42,7 @@ class ScenarioParams:
                      "first_batch_classes", "first_batch_instances"):
             require_int(name, getattr(self, name), 0)
         require_int("test_frames_per_instance", self.test_frames_per_instance, 1)
-        if not isinstance(self.pattern_shape, (list, tuple)) or not self.pattern_shape:
-            raise ConfigError("pattern_shape must be a non-empty list of integers, "
-                              f"got {self.pattern_shape!r}")
-        for extent in self.pattern_shape:
-            require_int("pattern_shape[]", extent, 1)
+        require_shape("pattern_shape", self.pattern_shape)
         for name in ("instance_jitter", "step_sigma", "walk_bound"):
             require_finite(name, getattr(self, name))
         if self.classes < 2:
@@ -246,12 +242,8 @@ def load_dataset(manifest_path) -> NicScenario:
     if not isinstance(manifest, dict):
         raise TensorFormatError(f"{manifest_path}: the manifest must be an object")
     try:
-        shape = manifest["pattern_shape"]
-        if (not isinstance(shape, list) or not shape
-                or any(isinstance(e, bool) or not isinstance(e, int) or e < 1 for e in shape)):
-            raise TensorFormatError(f"{manifest_path}: pattern_shape must be a non-empty "
-                                    f"list of integers >= 1, got {shape!r}")
-        shape = tuple(shape)
+        shape = require_shape(f"{manifest_path}: pattern_shape", manifest["pattern_shape"],
+                              TensorFormatError)
         classes = manifest["classes"]
         require_int("classes", classes, 2)
         entries = manifest["batches"]

@@ -17,13 +17,8 @@ MAGIC = b"LRT1"
 _MAX_RANK = 32
 
 
-def as_f32(x) -> np.ndarray:
-    """View/convert to a contiguous float32 array."""
-    return np.ascontiguousarray(x, dtype=np.float32)
-
-
 def tensor_bytes(arr) -> bytes:
-    arr = as_f32(arr)
+    arr = np.ascontiguousarray(arr, dtype=np.float32)
     header = MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + arr.astype("<f4").tobytes()

@@ -1,10 +1,11 @@
 """Shared test helpers: finite-difference gradient checking, the conv
-shapes and bitwise comparison the kernel and layer tests share, and bad
-values for a saved scenario's manifest."""
+shapes and bitwise comparison the kernel and layer tests share, the bits
+of BRN moving moments, and bad values for a saved scenario's manifest."""
 
 import numpy as np
 import pytest
 
+from latentreplay.layers import Brn
 from latentreplay.rng import SeededRng
 
 
@@ -22,6 +23,13 @@ CONV_SHAPES = {
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def brn_moment_bits(layers):
+    """The moving moments of the BRN layers among ``layers``, copied into
+    one uint64 array of their bits."""
+    return np.concatenate([m for l in layers if isinstance(l, Brn)
+                           for m in (l.mu_mov, l.sigma_mov)]).view(np.uint64)
 
 
 def numeric_grad(loss_fn, arr, flat_index, h):

@@ -102,6 +102,15 @@ def test_unknown_layer_is_lookup_error():
         pattern_size(table, "nope")
 
 
+def test_tradeoff_table_rejects_unknown_candidates_and_zero_ops():
+    with pytest.raises(ConfigError, match=r"unknown candidate layer\(s\) \['nope'\]"):
+        tradeoff_table(bundled_cost_table(), ["Images", "nope"], rm_size=10)
+    zero = LayerCostTable.from_csv_text("name,neurons,ops,weights\nIn,10,0,0\nout,2,0,3\n")
+    with pytest.raises(ConfigError, match="ops sum to 0"):
+        tradeoff_table(zero, ["In"], rm_size=10)
+    assert tradeoff_table(zero, [], rm_size=10) == []
+
+
 def test_malformed_csv_rejected():
     with pytest.raises(ConfigError):
         LayerCostTable.from_csv_text("name,neurons\nfoo,1\n")

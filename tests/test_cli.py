@@ -84,6 +84,18 @@ def test_tradeoff_custom_fixture(tmp_path, capsys):
     assert lines[2].split(",")[:4] == ["mid", "33.333", "8", "64"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--candidates", "Images,nope"], "unknown candidate layer(s) ['nope']"),
+    (["--fixture", "zero.csv"], "cost table ops sum to 0: no computation share is defined")],
+    ids=["candidate", "zero_ops"])
+def test_tradeoff_bad_input_exits_1(tmp_path, capsys, monkeypatch, args, message):
+    (tmp_path / "zero.csv").write_text("name,neurons,ops,weights\nIn,10,0,0\nout,2,0,3\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["tradeoff"] + args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
 # -- scenario -----------------------------------------------------------------
 
 
@@ -349,6 +361,30 @@ def test_run_spec_missing_key_exits_1(tmp_path, capsys):
 def test_run_spec_bad_brn_field_exits_1(tmp_path, capsys, field, value, message):
     spec = tinynic_network_spec(classes=4, width=4)
     spec["layers"][1][field] = value
+    (tmp_path / "net.json").write_text(json.dumps(spec))
+    cfg = run_config(tmp_path, network={"spec_path": "net.json"})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("layer, field, value, message", [
+    ("conv1", "kernel", 0, "conv1.kernel must be an integer >= 1, got 0"),
+    ("conv1", "kernel", "x", "conv1.kernel must be an integer >= 1, got 'x'"),
+    ("conv1", "stride", 0, "conv1.stride must be an integer >= 1, got 0"),
+    ("conv1", "pad", -1, "conv1.pad must be an integer >= 0, got -1"),
+    ("conv1", "out_channels", -2, "conv1.out_channels must be an integer >= 1, got -2"),
+    ("conv1", "groups", 3, "conv1.groups 3 must divide its 1 in and 4 out channels"),
+    ("conv2_dw", "stride", 0, "conv2_dw.stride must be an integer >= 1, got 0"),
+    ("fc", "units", "x", "fc.units must be an integer >= 1, got 'x'"),
+    (None, "input_shape", 5, "input_shape must be a non-empty list of integers >= 1, got 5"),
+    (None, "input_shape", [1, 0, 16],
+     "input_shape must be a non-empty list of integers >= 1, got [1, 0, 16]")],
+    ids=["kernel", "kernel_type", "stride", "pad", "out_channels", "groups", "dw_stride",
+         "units", "input_shape", "input_extent"])
+def test_run_spec_bad_layer_field_exits_1(tmp_path, capsys, layer, field, value, message):
+    spec = tinynic_network_spec(classes=4, width=4)
+    target = spec if layer is None else next(l for l in spec["layers"] if l["name"] == layer)
+    target[field] = value
     (tmp_path / "net.json").write_text(json.dumps(spec))
     cfg = run_config(tmp_path, network={"spec_path": "net.json"})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

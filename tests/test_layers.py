@@ -234,19 +234,6 @@ def test_brn_eval_mode_uses_moving_moments():
     assert np.allclose(y, [[1.5 * (3 - 1) / 2, 1.0 * (0 + 1) / 0.5 + 0.5]])
 
 
-def test_brn_frozen_moments_behave_like_eval_in_train_mode():
-    rng = SeededRng(36)
-    x = rng.normal((32, 3)) * 4.0
-    layer = Brn("b", 3)
-    layer.moments_frozen = True
-    mu0, sig0 = layer.mu_mov.copy(), layer.sigma_mov.copy()
-    y_train, _ = layer.forward(x, "train")
-    y_eval, _ = layer.forward(x, "eval")
-    assert np.array_equal(y_train, y_eval)
-    assert np.array_equal(layer.mu_mov, mu0)
-    assert np.array_equal(layer.sigma_mov, sig0)
-
-
 def test_brn_gradients_match_finite_differences(rng):
     # moments chosen so both clips saturate: r, d locally constant, which
     # makes the stop-gradient backward the true derivative
@@ -314,7 +301,7 @@ class BrnReference(Brn):
         axes = (0, 2, 3) if x.ndim == 4 else (0,)
         gamma = self._bview(self.params["gamma"].astype(np.float64), x.ndim)
         beta = self._bview(self.params["beta"].astype(np.float64), x.ndim)
-        if mode == TRAIN and not self.moments_frozen:
+        if mode == TRAIN:
             xf = x.astype(np.float64)
             mu_b = xf.mean(axis=axes)
             sigma_b = np.sqrt(xf.var(axis=axes) + self.eps)
@@ -368,7 +355,7 @@ def same_bits(a, b):
                           b.view(np.uint64 if b.dtype == np.float64 else np.uint32))
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "frozen"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("n", [1, 4, 48, 256])
 @pytest.mark.parametrize("shape", BRN_SHAPES, ids=str)
 def test_brn_matches_reference_bitwise(shape, n, mode):
@@ -384,14 +371,12 @@ def test_brn_matches_reference_bitwise(shape, n, mode):
     mu, sigma = 0.5 * r.normal((c,)).astype(np.float64), 0.4 + 3.0 * r.uniform((c,))
     xs = [(1.7 * r.normal((n,) + shape) + 0.4).astype(np.float32) for _ in range(2)]
     dys = [r.normal((n,) + shape) for _ in range(2)]
-    fmode = "eval" if mode == "eval" else "train"
     outs = []
     for cls in (Brn, BrnReference):
         layer = cls("b", c, avg_rate=0.9)
         layer.params["gamma"], layer.params["beta"] = gamma.copy(), beta.copy()
         layer.mu_mov, layer.sigma_mov = mu.copy(), sigma.copy()
-        layer.moments_frozen = mode == "frozen"
-        fwd = [layer.forward(x, fmode) for x in xs]
+        fwd = [layer.forward(x, mode) for x in xs]
         out = [y for y, _ in fwd]
         out += [a for _, cache in fwd if cache[0] == "batch" for a in cache[1:]]
         for (_, cache), dy in zip(fwd, dys):
@@ -404,7 +389,7 @@ def test_brn_matches_reference_bitwise(shape, n, mode):
         assert same_bits(a, b), f"output {i} differs"
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "frozen"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("shape", BRN_SHAPES, ids=str)
 def test_brn_input_layout_does_not_change_bits(shape, mode):
     """Brn works on C-ordered float64 copies of x and dy, so a
@@ -419,8 +404,7 @@ def test_brn_input_layout_does_not_change_bits(shape, mode):
     def run(x, dy):
         layer = Brn("b", c, avg_rate=0.9)
         layer.mu_mov, layer.sigma_mov = mu.copy(), sigma.copy()
-        layer.moments_frozen = mode == "frozen"
-        y, cache = layer.forward(x, "eval" if mode == "eval" else "train")
+        y, cache = layer.forward(x, mode)
         dx, g = layer.backward(dy, cache)
         return [y, dx, g["gamma"], g["beta"], layer.mu_mov, layer.sigma_mov]
 

@@ -11,7 +11,7 @@ from latentreplay.presets import TINYNIC_TAPS, build_tinynic_network, tinynic_ne
 from latentreplay.rng import SeededRng
 from latentreplay.scenario import ScenarioParams, generate_tinynic
 
-from conftest import check_grad_tensor
+from conftest import brn_moment_bits, check_grad_tensor
 
 
 def identity_dense_net(n=3):
@@ -140,8 +140,12 @@ def test_frozen_train_forward_taps_the_bits_of_eval(tap):
         net.forward(r.normal((8,) + net.input_shape))
     assert not np.array_equal(net.layer("brn1").mu_mov, 0.0)
     net.freeze_below_tap()
+    lower = net.layers[:net.tap_index + 1]
+    before = brn_moment_bits(lower)
     x = r.normal((8,) + net.input_shape)
     trained = net.forward(x)[1]
+    assert net._ctx["below"] == []
+    assert np.array_equal(brn_moment_bits(lower), before)
     assert np.array_equal(trained.view(np.uint32), net.tap_activations(x).view(np.uint32))
 
 
@@ -195,26 +199,28 @@ def test_forward_and_forward_from_empty_batch_errors(entry, width):
 
 
 def test_frozen_lower_part_records_only_what_backward_walks():
-    trainable = build_tinynic_network(classes=6, seed=5, width=4, tap="relu3")
-    frozen = build_tinynic_network(classes=6, seed=5, width=4, tap="relu3")
-    for net in (trainable, frozen):
-        net.freeze_below_tap()  # rate 0 and pinned BRN moments
-    trainable.lr_mult.update(dict.fromkeys(trainable.lr_mult, 0.01))  # same function, trains
+    """A fixed lower net runs in eval mode and is not recorded: native and
+    replay rows give the bits of the same net's upper-only pass from the
+    native rows' tap activations, and the lower BRN moments stay put."""
+    nets = [build_tinynic_network(classes=6, seed=5, width=4, tap="relu3", avg_rate=0.9)
+            for _ in range(2)]
     r = SeededRng(10)
-    x, lat = r.normal((3,) + frozen.input_shape), r.normal((5,) + frozen.tap_shape)
-    brn1 = frozen.layer("brn1")
-    mu_before, sigma_before = brn1.mu_mov.copy(), brn1.sigma_mov.copy()
-    grads = {}
-    for name, net in (("trainable", trainable), ("frozen", frozen)):
-        logits, _ = net.forward_concat(x, lat)
+    x, lat = r.normal((3,) + nets[0].input_shape), r.normal((5,) + nets[0].tap_shape)
+    lower = nets[0].layers[:nets[0].tap_index + 1]
+    before = brn_moment_bits(lower)
+    grads = []
+    for net, native, latent in ((nets[0], x, lat), (nets[1], x[:0], None)):
+        net.freeze_below_tap()
+        if latent is None:
+            latent = np.concatenate([net.tap_activations(x), lat])
+        logits, _ = net.forward_concat(native, latent)
+        assert net._ctx["below"] == []
         _, dl = softmax_xent(logits, np.arange(8) % 6)
-        grads[name] = net.backward(dl)
-    assert frozen._ctx["below"] == [] and trainable._ctx["below"]
-    assert np.array_equal(brn1.mu_mov.view(np.uint64), mu_before.view(np.uint64))
-    assert np.array_equal(brn1.sigma_mov.view(np.uint64), sigma_before.view(np.uint64))
-    above = {l.name for l in frozen.layers[frozen.tap_index + 1:]}
-    assert_same_grads(grads["frozen"],
-                      {k: g for k, g in grads["trainable"].items() if k in above})
+        grads.append(net.backward(dl))
+    assert np.array_equal(brn_moment_bits(lower), before)
+    above = {l.name for l in nets[0].layers[nets[0].tap_index + 1:] if l.params}
+    assert set(grads[0]) == above
+    assert_same_grads(*grads)
 
 
 def test_backward_without_forward_errors():

@@ -3,6 +3,7 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "session_digest.py"
 _spec = importlib.util.spec_from_file_location("session_digest", TOOL)
@@ -10,12 +11,16 @@ session_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(session_digest)
 
 
-def test_digest_repeats_and_sees_one_ulp_of_one_weight():
+def small_stream():
     from latentreplay import ScenarioParams, generate_tinynic
 
-    stream = generate_tinynic(ScenarioParams(
+    return generate_tinynic(ScenarioParams(
         classes=4, instances_per_class=2, frames_per_session=24, first_batch_classes=2,
         first_batch_instances=1, test_frames_per_instance=4), 7)
+
+
+def test_digest_repeats_and_sees_one_ulp_of_one_weight():
+    stream = small_stream()
 
     def two_sessions():
         runs = itertools.islice(session_digest.trained_sessions("ar1-pool-rm1500", stream), 2)
@@ -29,5 +34,42 @@ def test_digest_repeats_and_sees_one_ulp_of_one_weight():
     trainer, digest, report = again[-1]
     w = trainer.net.layer("conv3_dw").params["w"].reshape(-1)
     w[5] = np.nextafter(w[5], np.float32(np.inf))
+    assert session_digest.session_digest(
+        trainer, report, stream.test_x, stream.test_y) != digest
+
+
+def next_ulp(arr, i):
+    flat = arr.reshape(-1)
+    flat[i] = np.nextafter(flat[i], np.inf)
+
+
+def si_trainer(stream):
+    """An ar1* trainer whose SI guards the layers above a relu3 tap, after
+    one session of ``stream``."""
+    from latentreplay import ContinualTrainer, StrategyConfig
+    from latentreplay.presets import build_tinynic_network
+
+    trainer = ContinualTrainer(
+        build_tinynic_network(classes=stream.classes, tap="relu3", width=4),
+        StrategyConfig(strategy="ar1*", replay_kind="latent", rm_capacity=20, epochs=1,
+                       mb=16), seed=3)
+    batch = stream.batches[0]
+    return trainer, trainer.train_batch(batch.x, batch.y)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda t: t.rng.next_u64(),
+    lambda t: t.rm.rng.next_u64(),
+    lambda t: next_ulp(t.cwr.past, 1),
+    lambda t: next_ulp(t.si.omega[t.si.keys[0]], 0),
+], ids=["trainer_rng_draw", "memory_rng_draw", "cwr_past_ulp", "si_omega_ulp"])
+def test_digest_sees_strategy_state_beyond_the_network(perturb):
+    """One random draw, or one ulp of a strategy's bookkeeping, changes
+    the digest where no weight, memory row or logit differs."""
+    stream = small_stream()
+    trainer, report = si_trainer(stream)
+    assert trainer.cwr is not None and trainer.si.keys
+    digest = session_digest.session_digest(trainer, report, stream.test_x, stream.test_y)
+    perturb(trainer)
     assert session_digest.session_digest(
         trainer, report, stream.test_x, stream.test_y) != digest

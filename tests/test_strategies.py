@@ -14,7 +14,7 @@ from latentreplay.scenario import ScenarioParams, generate_tinynic
 from latentreplay.strategies import (ContinualTrainer, CwrHead, DsldaState,
                                      SiState, StrategyConfig)
 
-from conftest import check_grad_tensor
+from conftest import brn_moment_bits, check_grad_tensor
 
 
 def head_layer(in_features=4, classes=6, seed=0):
@@ -624,6 +624,26 @@ def test_lr_other_zero_trains_only_the_head():
             assert same == (l.name != "fc"), (l.name, k)
 
 
+def test_all_lower_rates_zero_keep_the_lower_brn_moments_unpinned():
+    """An unpinned net whose rates at and below the tap are all 0 runs its
+    lower part in eval mode: from batch 2 on the BRN moments there stay
+    put, and those above the tap still move."""
+    net = build_tinynic_network(classes=6, seed=28, width=4, tap="relu3")
+    cfg = StrategyConfig(strategy="naive", epochs=1, mb=16, lr_other=0)
+    trainer = ContinualTrainer(net, cfg, seed=9)
+    assert not trainer.pin_lower
+    brns = [l for l in net.layers if isinstance(l, Brn)]
+    batches = tinynic_batches(3, seed=29)
+    trainer.train_batch(*batches[0])
+    for x, y in batches[1:]:
+        before = [brn_moment_bits([l]) for l in brns]
+        trainer.train_batch(x, y)
+        assert net.frozen_below_tap
+        kept = {l.name: np.array_equal(brn_moment_bits([l]), b) for l, b in zip(brns, before)}
+        assert kept == {"brn1": True, "brn2": True, "brn3": True,
+                        "brn4": False, "brn5": False}
+
+
 def test_head_steps_at_exactly_lr_head():
     # the ratio form lr_other * (lr_head / lr_other) gives 0.08999999999999998 here
     net = build_tinynic_network(classes=6, seed=28, width=4)
@@ -665,14 +685,18 @@ def test_strategy_presets_build_their_parts_and_pin_the_lower_net(strategy, late
     memory = dict(replay_kind="latent", rm_capacity=20) if latent else {}
     trainer = ContinualTrainer(net, StrategyConfig(strategy=strategy, epochs=1, mb=16,
                                                    **memory), seed=10)
+    brns = [l for l in net.layers[:net.tap_index + 1] if isinstance(l, Brn)]
+    moments = []  # the lower BRN moments before batch 2 and after it
     for x, y in tinynic_batches(2, per_batch=16, seed=33):
         trainer.train_batch(x, y)
+        moments.append([brn_moment_bits([l]) for l in brns])
     built = (trainer.cwr is not None, trainer.si is not None, trainer.dslda is not None)
     assert built == (cwr, si, dslda)
     pinned = head_only or latent
     assert net.frozen_below_tap == pinned
-    brns = [l for l in net.layers[:net.tap_index + 1] if isinstance(l, Brn)]
-    assert brns and all(l.moments_frozen == pinned for l in brns)
+    # DSLDA's lower net never trains, so it keeps its moments unpinned
+    kept = [np.array_equal(a, b) for a, b in zip(*moments)]
+    assert brns and kept == [pinned or dslda] * len(brns)
 
 
 # case: (strategy config, tap)

@@ -7,8 +7,12 @@ trainer seed the benchmark uses, and prints one line per session:
     <session> <sha256>
 
 Each digest covers every parameter and BRN moving moment of the
-network, the rehearsal memory's payloads, labels and origins, the
-session's loss trace, and the logits and accuracy on the test set. Two
+network; the rehearsal memory's payloads, labels and origins; the
+trainer's batch count, the draw counters of its and the memory's random
+streams and the memory's last batch index; the CWR* consolidated head
+(``cw_w``, ``cw_b``, ``past``), SI's ``theta_ref``, ``omega`` and
+``importance`` and the DSLDA statistics, where the strategy has them;
+the session's loss trace; and the logits and accuracy on the test set. Two
 checkouts that print the same lines trained bit-identical streams. From
 the root of a checkout:
 
@@ -57,9 +61,22 @@ def session_digest(trainer, report, test_x, test_y) -> str:
         for key in ("mu_mov", "sigma_mov"):
             if hasattr(layer, key):
                 add(f"{layer.name}.{key}", getattr(layer, key))
+    counters = [trainer.batch_count, trainer.rng._counter]
     if trainer.rm is not None:
         for key in ("payloads", "labels", "origins"):
             add(f"rm.{key}", getattr(trainer.rm, key))
+        counters += [trainer.rm.rng._counter, trainer.rm._last_i]
+    add("counters", np.asarray(counters, dtype=np.int64))
+    if trainer.cwr is not None:
+        for key in ("cw_w", "cw_b", "past"):
+            add(f"cwr.{key}", getattr(trainer.cwr, key))
+    if trainer.si is not None:
+        for kind in ("theta_ref", "omega", "importance"):
+            for ln, pn in trainer.si.keys:
+                add(f"si.{kind}.{ln}.{pn}", getattr(trainer.si, kind)[(ln, pn)])
+    if trainer.dslda is not None:
+        for key in ("mu", "n_c", "scatter", "count"):
+            add(f"dslda.{key}", getattr(trainer.dslda, key))
     add("loss_trace", np.asarray(report.loss_trace, dtype=np.float64))
     add("test_logits", trainer.net.predict(test_x))
     # the trainer's own scoring, which may start from kept tap activations
