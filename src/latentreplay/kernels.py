@@ -5,21 +5,22 @@ in float64, so finite-difference gradient checks at 1e-3 relative
 tolerance stay meaningful. Reduction order is fixed by the shapes alone,
 so outputs are bit-identical across repeated calls.
 
-Convolutions are GEMMs on the im2col matrix ``[groups, n*ho*wo,
-c_g*kh*kw]`` of the input (Chellapilla et al. 2006, "High Performance
-Convolutional Neural Networks for Document Processing"): one ``np.take``
-from a ``[groups, n, c_g*h*w + 1]`` copy of x, whose last column is the
-zero that padding reads, through a cached per-sample index; a 1x1,
-stride-1, unpadded conv's matrix is a plain transpose of x. conv2d is
-``cols @ kern^T`` and dkern ``dy^T @ cols``, one GEMM per group for every
-conv kind. Float32 inputs widen to float64 exactly, so a float32 matrix
-widened a group at a time at each GEMM gives a float64 matrix's bits. dx
-adds each kernel tap's plane, in (i, j) order, into a zeroed, padded
-``[h+2p, w+2p, c*n]`` float64 buffer: dy, transposed once to ``[ho, wo, c*n]``,
-times the tap's weights as one ``[c*n]`` row, into one reused plane, for a
-depthwise conv (one channel in, one filter per group), else the tap's
-slice of ``dy @ kern`` in the same layout. The zero start keeps a sum of
-``-0.0`` planes at ``+0.0``.
+Convolutions are GEMMs on the float64 im2col matrix ``[groups,
+n*ho*wo, c_g*kh*kw]`` of the input (Chellapilla et al. 2006, "High
+Performance Convolutional Neural Networks for Document Processing"): one
+``np.take`` from a float64 ``[groups, n, c_g*h*w + 1]`` copy of x, whose
+last column is the zero that padding reads, through a cached per-sample
+index; a 1x1, stride-1, unpadded conv's matrix is a transposed float64
+copy of x. Float32 widens to float64 exactly inside that copy, so the
+matrix holds x's values. conv2d is ``cols @ kern^T`` and dkern ``dy^T @
+cols``, with dy laid out once as float64 ``[groups, n*ho*wo, f/groups]``:
+each is one batched float64 matmul, which runs one GEMM per group, for
+every conv kind. dx adds each kernel tap's plane, in (i, j) order, into a
+zeroed, padded ``[h+2p, w+2p, c*n]`` float64 buffer: dy, transposed once
+to ``[ho, wo, c*n]``, times the tap's weights as one ``[c*n]`` row, into
+one reused plane, for a depthwise conv (one channel in, one filter per
+group), else the tap's slice of ``dy @ kern`` in the same layout. The
+zero start keeps a sum of ``-0.0`` planes at ``+0.0``.
 
 conv2d returns a C-contiguous array. Batch Renormalization reduces its
 float64 moments over axes (0, 2, 3) in memory order, so the same values
@@ -72,25 +73,17 @@ def _gather_index(c_g, h, w, kh, kw, stride, pad) -> np.ndarray:
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0,
            groups: int = 1) -> np.ndarray:
-    """[n, c, h, w] -> C-contiguous [groups, n*ho*wo, c_g*kh*kw] in x's
-    dtype, rows in (n, ho, wo) order and columns in (c, i, j) order."""
+    """[n, c, h, w] -> C-contiguous float64 [groups, n*ho*wo, c_g*kh*kw],
+    rows in (n, ho, wo) order and columns in (c, i, j) order."""
     n, c, h, w = x.shape
     c_g = c // groups
     if kh == kw == 1 and stride == 1 and pad == 0:  # each column is one input plane
-        cols = np.ascontiguousarray(x.reshape(n, groups, c_g, h * w).transpose(1, 0, 3, 2))
-        return cols.reshape(groups, -1, c_g)
-    rows = np.zeros((groups, n, c_g * h * w + 1), dtype=x.dtype)
+        cols = x.reshape(n, groups, c_g, h * w).transpose(1, 0, 3, 2)
+        return cols.astype(np.float64, order="C").reshape(groups, -1, c_g)
+    rows = np.zeros((groups, n, c_g * h * w + 1))
     rows[..., :-1] = x.reshape(n, groups, -1).swapaxes(0, 1)
     cols = np.take(rows.reshape(groups * n, -1), _gather_index(c_g, h, w, kh, kw, stride, pad), 1)
     return cols.reshape(groups, -1, c_g * kh * kw)
-
-
-def _per_group(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The float64 products a[g] @ b[g], widening one group at a time."""
-    out = np.empty((len(a), a.shape[1], b.shape[2]))
-    for g in range(len(a)):
-        np.matmul(a[g], b[g], out=out[g], dtype=np.float64)
-    return out
 
 
 def conv2d(x: np.ndarray, kern: np.ndarray, stride: int = 1, pad: int = 0,
@@ -109,7 +102,7 @@ def conv2d_from_cols(cols: np.ndarray, kern: np.ndarray, ho: int, wo: int) -> np
     """conv2d's output from the im2col matrix of its input."""
     groups, f = len(cols), len(kern)
     kg = kern.reshape(groups, f // groups, -1).astype(np.float64)
-    out = _per_group(cols, kg.swapaxes(1, 2)).reshape(groups, -1, ho * wo, f // groups)
+    out = (cols @ kg.swapaxes(1, 2)).reshape(groups, -1, ho * wo, f // groups)
     return np.ascontiguousarray(out.transpose(1, 0, 3, 2), dtype=np.float32).reshape(-1, f, ho, wo)
 
 
@@ -129,9 +122,9 @@ def conv2d_backward_from_cols(cols: np.ndarray, x_shape: tuple, kern: np.ndarray
     ho, wo = _conv_extents(x_shape, kern.shape, stride, pad, groups)
     if dy.shape != (n, f, ho, wo):
         raise ShapeError(f"dy shape {dy.shape} != conv2d output shape {(n, f, ho, wo)}")
-    dyg = dy.reshape(n, groups, -1, ho * wo).astype(np.float64)
-    dyg = dyg.transpose(1, 0, 3, 2).reshape(groups, n * ho * wo, -1)
-    dkern = _per_group(dyg.swapaxes(1, 2), cols).reshape(f, c_g, kh, kw).astype(np.float32)
+    dyg = dy.reshape(n, groups, -1, ho * wo).transpose(1, 0, 3, 2)
+    dyg = dyg.astype(np.float64, order="C").reshape(groups, n * ho * wo, -1)
+    dkern = (dyg.swapaxes(1, 2) @ cols).reshape(f, c_g, kh, kw).astype(np.float32)
     if not need_dx:
         return None, dkern
     if c_g == 1 and f == groups:

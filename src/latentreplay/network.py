@@ -98,7 +98,11 @@ class Network:
         part's caches always, the lower part's only when there are native
         rows and the lower part trains; else the lower part runs in eval
         mode, as in ``tap_activations``, and its BRN moments stay put.
+        A train-mode pass first drops the last pass's record: its caches are
+        freed before this pass builds its own, and a pass that raises leaves none.
         """
+        if mode == TRAIN:
+            self._ctx = None
         n_native = 0 if x is None else len(x)
         n_rows = n_native + (0 if latent is None else len(latent))
         if n_rows == 0:
@@ -266,5 +270,8 @@ class Network:
                 layers.append(Flatten(name))
             else:
                 raise ConfigError(f"unknown layer kind {kind!r}")
-            cur = layers[-1].out_shape(cur)
+            try:
+                cur = layers[-1].out_shape(cur)
+            except (ShapeError, ValueError) as exc:  # ValueError: a rank that does not unpack
+                raise ConfigError(f"{name} does not fit its input {cur}: {exc}") from exc
         return Network(layers, input_shape, doc["tap"], doc.get("head"))

@@ -371,6 +371,8 @@ def test_run_spec_bad_brn_field_exits_1(tmp_path, capsys, field, value, message)
     ("conv1", "kernel", 0, "conv1.kernel must be an integer >= 1, got 0"),
     ("conv1", "kernel", "x", "conv1.kernel must be an integer >= 1, got 'x'"),
     ("conv1", "stride", 0, "conv1.stride must be an integer >= 1, got 0"),
+    ("conv1", "stride", 3, "conv1 does not fit its input (1, 16, 16): "
+     "non-integral output extent: size=16 kernel=4 stride=3 pad=1"),
     ("conv1", "pad", -1, "conv1.pad must be an integer >= 0, got -1"),
     ("conv1", "out_channels", -2, "conv1.out_channels must be an integer >= 1, got -2"),
     ("conv1", "groups", 3, "conv1.groups 3 must divide its 1 in and 4 out channels"),
@@ -379,12 +381,29 @@ def test_run_spec_bad_brn_field_exits_1(tmp_path, capsys, field, value, message)
     (None, "input_shape", 5, "input_shape must be a non-empty list of integers >= 1, got 5"),
     (None, "input_shape", [1, 0, 16],
      "input_shape must be a non-empty list of integers >= 1, got [1, 0, 16]")],
-    ids=["kernel", "kernel_type", "stride", "pad", "out_channels", "groups", "dw_stride",
-         "units", "input_shape", "input_extent"])
+    ids=["kernel", "kernel_type", "stride", "stride_extent", "pad", "out_channels", "groups",
+         "dw_stride", "units", "input_shape", "input_extent"])
 def test_run_spec_bad_layer_field_exits_1(tmp_path, capsys, layer, field, value, message):
     spec = tinynic_network_spec(classes=4, width=4)
     target = spec if layer is None else next(l for l in spec["layers"] if l["name"] == layer)
     target[field] = value
+    (tmp_path / "net.json").write_text(json.dumps(spec))
+    cfg = run_config(tmp_path, network={"spec_path": "net.json"})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("first, message", [
+    ({"name": "d0", "kind": "dense", "units": 8},
+     "d0 does not fit its input (1, 16, 16): d0: expected (1,), got (1, 16, 16)"),
+    ({"name": "p0", "kind": "avgpool"},
+     "conv1 does not fit its input (1,): not enough values to unpack (expected 3, got 1)")],
+    ids=["dense", "avgpool"])
+def test_run_spec_layer_inserted_before_conv1_exits_1(tmp_path, capsys, first, message):
+    """A spec whose layer shapes do not chain is a config error, found
+    before anything runs."""
+    spec = tinynic_network_spec(classes=4, width=4)
+    spec["layers"].insert(0, first)
     (tmp_path / "net.json").write_text(json.dumps(spec))
     cfg = run_config(tmp_path, network={"spec_path": "net.json"})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

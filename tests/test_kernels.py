@@ -314,7 +314,7 @@ def test_im2col_bit_identical_to_sliding_window(name, n):
     for xin in (x, np.asfortranarray(x), np.repeat(x, 2, axis=3)[..., ::2]):
         cols = kernels.im2col(xin, k, k, stride, pad, groups)
         assert cols.flags.c_contiguous
-        assert cols.dtype == np.float32 and same_bits(cols, ref)
+        assert cols.dtype == np.float64 and same_bits(cols, ref.astype(np.float64, order="C"))
 
 
 def im2col_gather(x, kh, kw, stride, pad, groups):
@@ -335,7 +335,7 @@ def test_im2col_1x1_transpose_bit_identical_to_gather(c, hw, groups, n):
     for xin in (x, np.asfortranarray(x), np.repeat(x, 2, axis=3)[..., ::2]):
         cols = kernels.im2col(xin, 1, 1, 1, 0, groups)
         assert cols.flags.c_contiguous
-        assert cols.dtype == np.float32 and same_bits(cols, ref)
+        assert cols.dtype == np.float64 and same_bits(cols, ref.astype(np.float64, order="C"))
 
 
 def test_depthwise_backward_rejects_short_dy():

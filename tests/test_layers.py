@@ -91,7 +91,7 @@ def test_dwconv_is_conv_with_channel_groups():
 @pytest.mark.parametrize("need_dx", [True, False])
 @pytest.mark.parametrize("name", list(CONV_SHAPES))
 def test_conv_backward_from_kept_matrix(name, need_dx):
-    """Train mode keeps the input's float32 im2col matrix instead of the
+    """Train mode keeps the input's float64 im2col matrix instead of the
     input; eval mode keeps nothing. Backward from the matrix gives the
     bits of kernels.conv2d_backward."""
     c, hw, f, k, stride, pad, groups = CONV_SHAPES[name]
@@ -101,7 +101,7 @@ def test_conv_backward_from_kept_matrix(name, need_dx):
     cols, x_shape = cache
     _, _, ho, wo = y.shape
     assert x_shape == x.shape
-    assert cols.dtype == np.float32 and cols.size == 48 * ho * wo * c * k * k
+    assert cols.dtype == np.float64 and cols.size == 48 * ho * wo * c * k * k
     assert layer.forward(x, "eval")[1] is None
     w = layer.params["w"]
     assert same_bits(y, kernels.conv2d(x, w, stride, pad, groups))

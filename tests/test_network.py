@@ -1,11 +1,12 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from latentreplay.errors import ConfigError, ShapeError, StateError
 from latentreplay.kernels import softmax_xent
-from latentreplay.layers import Brn, Dense, Relu
+from latentreplay.layers import TRAIN, Brn, Dense, Relu
 from latentreplay.network import Network
 from latentreplay.presets import TINYNIC_TAPS, build_tinynic_network, tinynic_network_spec
 from latentreplay.rng import SeededRng
@@ -227,6 +228,39 @@ def test_backward_without_forward_errors():
     net = toy_net()
     with pytest.raises(StateError):
         net.backward(np.zeros((2, 4), dtype=np.float32))
+
+
+def test_backward_after_a_failed_train_forward_errors():
+    """A train-mode pass that raises leaves no record, so backward cannot
+    return the gradients of the pass before it."""
+    net = toy_net()
+    net.forward(SeededRng(3).normal((2, 6)))
+    with pytest.raises(ShapeError):
+        net.forward(np.zeros((2, 5), dtype=np.float32))
+    with pytest.raises(StateError):
+        net.backward(np.zeros((2, 4), dtype=np.float32))
+
+
+def test_train_forward_frees_the_last_pass_caches_first():
+    """Only one step's caches are alive at the peak: the im2col matrix that
+    conv3_dw kept for the last step is gone when the next train-mode pass
+    reaches conv3_dw."""
+    net = build_tinynic_network(classes=4, width=4, seed=5)
+    x, labels = SeededRng(6).normal((8, 1, 16, 16)), np.arange(8) % 4
+    conv = net.layer("conv3_dw")
+    net.backward(softmax_xent(net.forward(x)[0], labels)[1])
+    kept = weakref.ref(next(c for l, c in net._ctx["above"] if l is conv)[0])
+    forward, reached = conv.forward, []
+
+    def checked(x, mode):
+        if mode == TRAIN:
+            assert kept() is None, "the last pass's kept matrix is still alive"
+            reached.append(mode)
+        return forward(x, mode)
+
+    conv.forward = checked
+    net.forward(x)
+    assert reached == [TRAIN]
 
 
 def test_backward_replay_rows_stop_at_tap():
