@@ -60,7 +60,7 @@ for epoch in range(8):
         pay, y_rep = rm.stacked(rep_idx)
         lat = np.concatenate([cached[fresh_idx], pay])
         y = np.concatenate([np.full(n_nat, 9), y_rep])
-        logits = net.forward_from(lat)
+        logits, _ = net.forward_concat(None, lat)
         loss, dl = softmax_xent(logits, y)
         net.sgd_step(net.backward(dl))
         steps += 1

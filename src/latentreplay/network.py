@@ -27,7 +27,7 @@ _INT_FIELDS = {"units": 1, "out_channels": 1, "kernel": 1, "stride": 1, "pad": 0
 
 
 class Network:
-    _ctx = None  # the last train-mode pass's record for backward; see _forward
+    _ctx = None  # the last training pass's record for backward; see _forward
 
     def __init__(self, layers: list[Layer], input_shape: tuple, tap: str,
                  head_name: str | None = None):
@@ -89,20 +89,19 @@ class Network:
                 caches.append((layer, cache))
         return x
 
-    def _forward(self, x, latent, mode):
+    def _forward(self, x, latent):
         """Native rows ``x`` through the whole net, ``latent`` rows joined
         at the tap after them; either may be None. Returns (logits over the
         joint batch, copy of the native tap activations).
 
-        A train-mode pass records exactly what backward walks: the upper
-        part's caches always, the lower part's only when there are native
-        rows and the lower part trains; else the lower part runs in eval
-        mode, as in ``tap_activations``, and its BRN moments stay put.
-        A train-mode pass first drops the last pass's record: its caches are
-        freed before this pass builds its own, and a pass that raises leaves none.
+        The pass records exactly what backward walks: the upper part's
+        caches always, the lower part's only when there are native rows and
+        the lower part trains; else the lower part runs in eval mode, as in
+        ``tap_activations``, and its BRN moments stay put. It first drops the
+        last pass's record: its caches are freed before this pass builds its
+        own, and a pass that raises leaves none.
         """
-        if mode == TRAIN:
-            self._ctx = None
+        self._ctx = None
         n_native = 0 if x is None else len(x)
         n_rows = n_native + (0 if latent is None else len(latent))
         if n_rows == 0:
@@ -112,40 +111,34 @@ class Network:
         if latent is not None:
             self._check_latent(latent)
         ti = self.tap_index
-        train = mode == TRAIN
-        below = [] if train and n_native and not self.frozen_below_tap else None
-        above = [] if train else None
+        below = [] if n_native and not self.frozen_below_tap else None
+        above = []
         tapped = np.zeros((0,) + self.tap_shape, dtype=np.float32)
         joint = latent
         if n_native:
-            out = self._run(self.layers[:ti + 1], x, EVAL if below is None else mode, below)
+            out = self._run(self.layers[:ti + 1], x, EVAL if below is None else TRAIN, below)
             tapped = out.copy()
             joint = np.concatenate([out, latent], axis=0) if n_rows > n_native else out
-        logits = self._run(self.layers[ti + 1:], joint, mode, above)
-        if train:
-            self._ctx = {"below": below or [], "above": above, "n_native": n_native,
-                         "n_rows": n_rows}
+        logits = self._run(self.layers[ti + 1:], joint, TRAIN, above)
+        self._ctx = {"below": below or [], "above": above, "n_native": n_native,
+                     "n_rows": n_rows}
         return logits, tapped
 
-    def forward(self, x: np.ndarray, mode: str = TRAIN):
-        """Full forward pass; returns (logits, copy of tap activations)."""
-        return self._forward(x, None, mode)
+    def forward(self, x: np.ndarray):
+        """Training pass of the whole net; returns (logits, copy of tap activations)."""
+        return self._forward(x, None)
 
-    def forward_from(self, latent: np.ndarray, mode: str = TRAIN) -> np.ndarray:
-        """Run only the layers strictly above the tap; in eval mode in
-        chunks, as ``predict`` runs the whole net."""
-        if mode == EVAL:
-            return self._chunked(self.layers[self.tap_index + 1:], latent, self._check_latent)
-        return self._forward(None, latent, mode)[0]
+    def forward_concat(self, x_native: np.ndarray | None, latent_replay: np.ndarray):
+        """Training pass of native rows through the whole net, replay rows
+        joined after them at the tap; ``x_native`` None, or with no rows,
+        trains from the tap up. Returns (logits over the joint batch, copy of
+        the native tap activations)."""
+        return self._forward(x_native, latent_replay)
 
-    def forward_concat(self, x_native: np.ndarray, latent_replay: np.ndarray,
-                       mode: str = TRAIN):
-        """Native rows through the whole net; replay rows injected at the tap.
-
-        Returns (logits over the joint batch, copy of native tap
-        activations). Native rows come first in the joint batch.
-        """
-        return self._forward(x_native, latent_replay, mode)
+    def forward_from(self, latent: np.ndarray) -> np.ndarray:
+        """Eval-mode logits of tap activations: only the layers strictly
+        above the tap run, in chunks, as ``predict`` runs the whole net."""
+        return self._chunked(self.layers[self.tap_index + 1:], latent, self._check_latent)
 
     def tap_activations(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode activations at the tap (no caches, no moment updates)."""
@@ -180,8 +173,8 @@ class Network:
 
     def backward(self, dlogits: np.ndarray,
                  tap_grad_extra: np.ndarray | None = None) -> Gradients:
-        """Backprop from dlogits through the last train-mode forward,
-        walking the caches that forward recorded.
+        """Backprop from dlogits through the last training pass (``forward``
+        or ``forward_concat``), walking the caches that pass recorded.
 
         Replay rows stop at the tap boundary: only the native rows of the
         tap gradient continue into the lower part, and backward stops at
@@ -195,7 +188,7 @@ class Network:
         layer above the tap does not when backward stops at the tap.
         """
         if self._ctx is None:
-            raise StateError("backward called without a preceding train-mode forward")
+            raise StateError("backward called without a preceding training pass")
         ctx = self._ctx
         if len(dlogits) != ctx["n_rows"]:
             raise ShapeError(f"dlogits has {len(dlogits)} rows, forward had {ctx['n_rows']}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, require_finite, require_int
 from .kernels import softmax_xent
-from .layers import EVAL
+from .layers import Brn
 from .network import Network
 from .replay import ReplayMemory, compose_minibatch, l1_activation_penalty
 from .rng import SeededRng
@@ -282,6 +282,39 @@ class ContinualTrainer:
         them, and a pinned lower net trains in batch 1 alone."""
         return self.dslda is not None or (self.pin_lower and self.batch_count >= 1)
 
+    def state(self) -> dict:
+        """Everything the run carries from one batch to the next, and nothing
+        else, as an ordered name -> array dict of the trainer's own arrays.
+        ``counters`` is the batch count and the trainer's RNG draws, then,
+        with a memory, its RNG draws and last batch index. Left out: SI's
+        ``_theta``, which consolidate sets from the snapshot that sets
+        ``theta_ref``, so the two are equal between batches; ``net.lr_mult``,
+        which ``_configure_batch`` rewrites at the start of each batch; and
+        the eval cache, which only saves work."""
+        out = {}
+
+        def add(prefix, obj, names):
+            out.update((f"{prefix}.{k}", np.asarray(getattr(obj, k))) for k in names)
+
+        for layer in self.net.layers:
+            out.update((f"{layer.name}.{k}", layer.params[k]) for k in sorted(layer.params))
+            if isinstance(layer, Brn):
+                add(layer.name, layer, ("mu_mov", "sigma_mov"))
+        counters = [self.batch_count, self.rng._counter]
+        if self.rm is not None:
+            add("rm", self.rm, ("payloads", "labels", "origins"))
+            counters += [self.rm.rng._counter, self.rm._last_i]
+        out["counters"] = np.asarray(counters, dtype=np.int64)
+        if self.cwr is not None:
+            add("cwr", self.cwr, ("cw_w", "cw_b", "past"))
+        if self.si is not None:
+            for kind in ("theta_ref", "omega", "importance"):
+                table = getattr(self.si, kind)
+                out.update((f"si.{kind}.{ln}.{pn}", table[(ln, pn)]) for ln, pn in self.si.keys)
+        if self.dslda is not None:
+            add("dslda", self.dslda, ("mu", "n_c", "scatter", "count"))
+        return out
+
     # -- phases ----------------------------------------------------------
 
     def _configure_batch(self, i: int) -> None:
@@ -394,6 +427,9 @@ class ContinualTrainer:
                 taps = net.tap_activations(x)
             self.rm.update(x if taps is None else taps, y, i)
 
+        # last: freed any earlier, its blocks go to the memory's new arrays and the next
+        # batch's steps page-fault fresh ones
+        net._ctx = None  # between batches only state() and the eval cache stay alive
         ms = (time.perf_counter() - t0) * 1000.0
         mean_loss = float(np.mean(trace)) if trace else float("nan")
         return BatchReport(i, steps=len(trace), mean_loss=mean_loss,
@@ -427,7 +463,7 @@ class ContinualTrainer:
         the kept tap activations, with the bits of ``net.predict``."""
         if not self.lower_fixed:
             return self.net.predict(x)
-        return self.net.forward_from(self._eval_tap_activations(x), mode=EVAL)
+        return self.net.forward_from(self._eval_tap_activations(x))
 
     def predict_labels(self, x: np.ndarray) -> np.ndarray:
         """Top-1 labels, scored over all classes."""

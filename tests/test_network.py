@@ -22,6 +22,15 @@ def identity_dense_net(n=3):
     return net
 
 
+def net_at_rate(avg_rate, tap="relu3", classes=6, width=4, seed=5):
+    """The TinyNIC net with every BRN moving its moments at ``avg_rate``."""
+    spec = tinynic_network_spec(classes=classes, tap=tap, width=width)
+    for item in spec["layers"]:
+        if item["kind"] == "brn":
+            item["avg_rate"] = avg_rate
+    return Network.from_spec(spec, seed=seed)
+
+
 def toy_net(seed=0, tap="relu1"):
     """dense -> relu (tap) -> brn -> dense head."""
     r = SeededRng(seed)
@@ -101,9 +110,7 @@ def test_eval_of_no_rows_errors(entry):
 def test_forward_from_reproduces_logits():
     net = toy_net()
     x = SeededRng(4).normal((5, 6))
-    logits, tapped = net.forward(x, mode="eval")
-    again = net.forward_from(tapped, mode="eval")
-    assert np.array_equal(again, logits)
+    assert np.array_equal(net.forward_from(net.tap_activations(x)), net.predict(x))
 
 
 @pytest.mark.parametrize("tap", TINYNIC_TAPS)
@@ -116,7 +123,7 @@ def test_stored_latent_equals_input_fed_when_frozen(tap):
     net.freeze_below_tap()
     stored = net.tap_activations(x)
     direct = net.predict(x)
-    via_latent = net.forward_from(stored, mode="eval")
+    via_latent = net.forward_from(stored)
     assert np.array_equal(via_latent.view(np.uint32), direct.view(np.uint32))
 
 
@@ -126,7 +133,7 @@ def test_net_tapped_at_its_head_evaluates_from_its_tap_activations():
     net = Network.from_spec(dict(tinynic_network_spec(classes=4, width=4), tap="fc"), seed=5)
     x = SeededRng(6).normal((70, 1, 16, 16))
     direct = net.predict(x)
-    assert np.array_equal(net.forward_from(net.tap_activations(x), mode="eval").view(np.uint32),
+    assert np.array_equal(net.forward_from(net.tap_activations(x)).view(np.uint32),
                           direct.view(np.uint32))
 
 
@@ -135,7 +142,7 @@ def test_frozen_train_forward_taps_the_bits_of_eval(tap):
     """Once frozen, the lower net is one fixed function: a train-mode pass
     reaches the tap with the bits of an eval-mode one, so stored latents
     are what the native rows would give today."""
-    net = build_tinynic_network(classes=6, seed=5, width=4, tap=tap, avg_rate=0.9)
+    net = net_at_rate(0.9, tap=tap)
     r = SeededRng(11)
     for _ in range(3):
         net.forward(r.normal((8,) + net.input_shape))
@@ -157,23 +164,24 @@ def test_zero_latent_through_relu_dense_gives_bias():
     net = Network(layers, input_shape=(4,), tap="d1")
     net.layer("head").params["b"] = np.array([0.1, -0.2, 0.3], dtype=np.float32)
     zero = np.zeros((2, 4), dtype=np.float32)
-    logits = net.forward_from(zero, mode="eval")
+    logits = net.forward_from(zero)
     assert np.allclose(logits, net.layer("head").params["b"])
 
 
 def test_forward_concat_degenerate_cases():
-    net = toy_net()
+    """No replay rows is forward's pass; no native rows, or None, is the
+    pass from the tap up. Each pass runs on a fresh net, as a training
+    pass moves the BRN moments above the tap."""
     x = SeededRng(8).normal((3, 6))
-    plain, tapped_plain = net.forward(x, mode="eval")
-    joint, tapped = net.forward_concat(x, np.zeros((0, 8), dtype=np.float32),
-                                       mode="eval")
+    plain, tapped_plain = toy_net().forward(x)
+    joint, tapped = toy_net().forward_concat(x, np.zeros((0, 8), dtype=np.float32))
     assert np.array_equal(joint, plain)
     assert np.array_equal(tapped, tapped_plain)
+    assert np.array_equal(tapped, toy_net().tap_activations(x))  # no BRN below the tap
 
     lat = SeededRng(9).normal((4, 8))
-    only_replay, tapped0 = net.forward_concat(np.zeros((0, 6), dtype=np.float32),
-                                              lat, mode="eval")
-    assert np.array_equal(only_replay, net.forward_from(lat, mode="eval"))
+    only_replay, tapped0 = toy_net().forward_concat(np.zeros((0, 6), dtype=np.float32), lat)
+    assert np.array_equal(only_replay, toy_net().forward_concat(None, lat)[0])
     assert tapped0.shape == (0, 8)
 
 
@@ -203,8 +211,7 @@ def test_frozen_lower_part_records_only_what_backward_walks():
     """A fixed lower net runs in eval mode and is not recorded: native and
     replay rows give the bits of the same net's upper-only pass from the
     native rows' tap activations, and the lower BRN moments stay put."""
-    nets = [build_tinynic_network(classes=6, seed=5, width=4, tap="relu3", avg_rate=0.9)
-            for _ in range(2)]
+    nets = [net_at_rate(0.9) for _ in range(2)]
     r = SeededRng(10)
     x, lat = r.normal((3,) + nets[0].input_shape), r.normal((5,) + nets[0].tap_shape)
     lower = nets[0].layers[:nets[0].tap_index + 1]
@@ -342,7 +349,7 @@ def test_backward_stopping_at_tap_skips_tap_grad_with_same_param_grads(tap, lowe
         net.freeze_below_tap()
         logits, _ = net.forward_concat(r.normal((3,) + net.input_shape), latent)
     else:
-        logits = net.forward_from(latent)
+        logits, _ = net.forward_concat(None, latent)
     _, dl = softmax_xent(logits, np.arange(len(logits)) % 6)
     above = net._ctx["above"]
     assert above[0][0] is net.layer(lowest)
@@ -530,7 +537,7 @@ def test_unknown_tap_rejected():
 @pytest.mark.parametrize("avg_rate", ["x", 1.5, -0.1, float("nan")])
 def test_tinynic_avg_rate_outside_unit_interval_rejected(avg_rate):
     with pytest.raises(ConfigError, match="avg_rate"):
-        build_tinynic_network(classes=4, avg_rate=avg_rate)
+        net_at_rate(avg_rate, classes=4, width=8, seed=0)
 
 
 def test_input_shape_mismatch_raises():

@@ -258,7 +258,7 @@ def test_precompute_worker_thread_feeds_head_training():
         if len(got) % 10 == 0:  # train the head on what has arrived so far
             lat = np.stack(got[-10:])
             y = labels[len(got) - 10:len(got)]
-            logits = net.forward_from(lat)
+            logits, _ = net.forward_concat(None, lat)
             _, dl = softmax_xent(logits, y)
             net.sgd_step(net.backward(dl))
     t.join()

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import itertools
 from pathlib import Path
@@ -73,3 +74,58 @@ def test_digest_sees_strategy_state_beyond_the_network(perturb):
     perturb(trainer)
     assert session_digest.session_digest(
         trainer, report, stream.test_x, stream.test_y) != digest
+
+
+def dslda_trainer(stream):
+    """A dslda trainer after one session of ``stream``."""
+    from latentreplay import ContinualTrainer, StrategyConfig
+    from latentreplay.presets import build_tinynic_network
+
+    trainer = ContinualTrainer(
+        build_tinynic_network(classes=stream.classes, tap="pool", width=4),
+        StrategyConfig(strategy="dslda"), seed=3)
+    batch = stream.batches[0]
+    return trainer, trainer.train_batch(batch.x, batch.y)
+
+
+def state_changes(trainer):
+    """(state() key, change) pairs: one ulp, or one unit of an integer, in
+    the first element of each of the trainer's own arrays, one more DSLDA
+    sample in its count, and one draw of each random stream ``counters``
+    counts."""
+    def nudge(t, key):
+        flat = t.state()[key].reshape(-1)  # the trainer's own array, not a copy
+        flat[0] = np.nextafter(flat[0], np.inf) if flat.dtype.kind == "f" else flat[0] + 1
+
+    for key in trainer.state():
+        if key == "dslda.count":
+            yield key, lambda t: setattr(t.dslda, "count", t.dslda.count + 1)
+        elif key != "counters":
+            yield key, lambda t, key=key: nudge(t, key)
+    yield "counters", lambda t: t.rng.next_u64()
+    if trainer.rm is not None:
+        yield "counters", lambda t: t.rm.rng.next_u64()
+
+
+@pytest.mark.parametrize("make", [si_trainer, dslda_trainer], ids=["memory_cwr_si", "dslda"])
+def test_one_ulp_or_one_draw_in_any_state_entry_changes_state_and_digest(make):
+    stream = small_stream()
+    trainer, report = make(stream)
+
+    def entries(t):
+        return {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in t.state().items()}
+
+    def digest(t):
+        return session_digest.session_digest(t, report, stream.test_x, stream.test_y)
+
+    base, base_digest = entries(trainer), digest(trainer)
+    changed = set()
+    for key, change in state_changes(trainer):
+        t = copy.deepcopy(trainer)
+        change(t)
+        now = entries(t)
+        assert list(now) == list(base)
+        assert [k for k in base if now[k] != base[k]] == [key]
+        assert digest(t) != base_digest, key
+        changed.add(key)
+    assert changed == set(base)

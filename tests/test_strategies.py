@@ -273,6 +273,22 @@ def test_f_nondecreasing_and_bounded_across_batches():
             prev[k] = f.copy()
 
 
+def assert_same_state(a, b):
+    """Every ``state()`` entry trainers ``a`` and ``b`` both carry agrees
+    bit for bit. Of ``counters``, both carry the trainer's own two, which
+    lead; a memory's follow them."""
+    sa, sb = a.state(), b.state()
+    shared = [k for k in sa if k in sb]
+    assert "counters" in shared and "fc.w" in shared
+    for key in shared:
+        va, vb = sa[key], sb[key]
+        if key == "counters":
+            va, vb = va[:2], vb[:2]
+        assert va.dtype == vb.dtype and va.shape == vb.shape, key
+        assert va.tobytes() == vb.tobytes(), key
+    return shared
+
+
 def penalty_all_keys(si, net):
     """The SI penalty summed over every key, frozen layers included."""
     loss, grads = 0.0, {}
@@ -322,13 +338,10 @@ def test_si_guarding_every_below_head_layer_gives_the_same_run(tap):
     trainer, trace = train_ar1_latent(tap)
     every, every_trace = train_ar1_latent(tap, guard_all=True)
     assert np.array_equal(trace.view(np.uint64), every_trace.view(np.uint64))
-    for l, other in zip(trainer.net.layers, every.net.layers):
-        for k, v in l.params.items():
-            assert np.array_equal(v.view(np.uint32), other.params[k].view(np.uint32)), (l.name, k)
+    shared = assert_same_state(trainer, every)
+    assert all(f"si.importance.{ln}.{pn}" in shared for ln, pn in trainer.si.keys)
     unguarded = set(every.si.keys) - set(trainer.si.keys)
     assert unguarded and any(every.si.importance[k].any() for k in unguarded)
-    for k in trainer.si.keys:
-        assert np.array_equal(trainer.si.importance[k], every.si.importance[k]), k
 
 
 def test_si_importance_above_the_tap_stays_within_max_f():
@@ -506,9 +519,7 @@ def test_zero_capacity_replay_reduces_to_naive():
     for x, y in batches:
         a.train_batch(x, y)
         b.train_batch(x, y)
-    for la, lb in zip(net_a.layers, net_b.layers):
-        for k in la.params:
-            assert np.array_equal(la.params[k], lb.params[k]), (la.name, k)
+    assert_same_state(a, b)
 
 
 def test_ar1free_equals_ar1_with_lambda_zero():
@@ -523,9 +534,26 @@ def test_ar1free_equals_ar1_with_lambda_zero():
     for x, y in batches:
         a.train_batch(x, y)
         b.train_batch(x, y)
-    for la, lb in zip(net_a.layers, net_b.layers):
-        for k in la.params:
-            assert np.array_equal(la.params[k], lb.params[k]), (la.name, k)
+    assert_same_state(a, b)
+
+
+@pytest.mark.parametrize("strategy, memory", [("ar1*", "latent"), ("naive", "native")])
+def test_no_step_record_outlives_its_batch_and_evaluation_keeps_state(strategy, memory):
+    """Between batches the network keeps no step record, and scoring the
+    test set leaves every ``state()`` bit as it was."""
+    scen = generate_tinynic(SMALL_STREAM, seed=5)
+    net = build_tinynic_network(classes=4, seed=1, width=4, tap="relu3")
+    trainer = ContinualTrainer(net, StrategyConfig(
+        strategy=strategy, replay_kind=memory, rm_capacity=30, epochs=1, mb=16), seed=2)
+    for batch in scen.batches[:3]:
+        trainer.train_batch(batch.x, batch.y)
+        assert net._ctx is None
+        before = {k: v.copy() for k, v in trainer.state().items()}
+        trainer.accuracy(scen.test_x, scen.test_y)
+        after = trainer.state()
+        assert list(after) == list(before)
+        for key, arr in before.items():
+            assert arr.dtype == after[key].dtype and arr.tobytes() == after[key].tobytes(), key
 
 
 def test_cwr_isolation_bitwise():
@@ -567,13 +595,11 @@ def test_cwr_latent_equals_native_when_frozen():
         loss_a = a.train_batch(x, y).loss_trace
         loss_b = b.train_batch(x, y).loss_trace
         assert np.array_equal(bits(np.array(loss_a)), bits(np.array(loss_b)))
-    assert np.array_equal(a.cwr.cw_w, b.cwr.cw_w)
-    assert np.array_equal(a.cwr.cw_b, b.cwr.cw_b)
+    assert list(a.state()) == list(b.state())
+    assert_same_state(a, b)
     assert np.array_equal(bits(a.predict_logits(test_x)), bits(b.predict_logits(test_x)))
     # the pinned lower net's memory holds tap activations, whatever its kind
     assert b.rm.payloads.shape == (len(b.rm),) + net_b.tap_shape
-    assert np.array_equal(bits(a.rm.payloads), bits(b.rm.payloads))
-    assert np.array_equal(a.rm.labels, b.rm.labels)
 
 
 @pytest.mark.parametrize("seed", [3, 4])

@@ -6,15 +6,11 @@ trainer seed the benchmark uses, and prints one line per session:
 
     <session> <sha256>
 
-Each digest covers every parameter and BRN moving moment of the
-network; the rehearsal memory's payloads, labels and origins; the
-trainer's batch count, the draw counters of its and the memory's random
-streams and the memory's last batch index; the CWR* consolidated head
-(``cw_w``, ``cw_b``, ``past``), SI's ``theta_ref``, ``omega`` and
-``importance`` and the DSLDA statistics, where the strategy has them;
-the session's loss trace; and the logits and accuracy on the test set. Two
-checkouts that print the same lines trained bit-identical streams. From
-the root of a checkout:
+Each digest covers the trainer's ``state()``, everything the run carries
+from one session to the next, then the session's loss trace and the
+trainer's logits and accuracy on the test set. Two checkouts that print
+the same lines trained bit-identical streams. From the root of a
+checkout:
 
     python3 tools/session_digest.py --workload latent-relu3-rm500 --seed 2024
 
@@ -49,38 +45,13 @@ def session_digest(trainer, report, test_x, test_y) -> str:
     import numpy as np
 
     h = hashlib.sha256()
-
-    def add(label: str, arr) -> None:
+    outputs = {"loss_trace": np.asarray(report.loss_trace, dtype=np.float64),
+               "test_logits": trainer.predict_logits(test_x),
+               "test_accuracy": np.float64(trainer.accuracy(test_x, test_y))}
+    for label, arr in [*trainer.state().items(), *outputs.items()]:
         arr = np.ascontiguousarray(arr)
         h.update(f"{label}:{arr.dtype.str}:{arr.shape}:".encode())
         h.update(arr.tobytes())
-
-    for layer in trainer.net.layers:
-        for key in sorted(layer.params):
-            add(f"{layer.name}.{key}", layer.params[key])
-        for key in ("mu_mov", "sigma_mov"):
-            if hasattr(layer, key):
-                add(f"{layer.name}.{key}", getattr(layer, key))
-    counters = [trainer.batch_count, trainer.rng._counter]
-    if trainer.rm is not None:
-        for key in ("payloads", "labels", "origins"):
-            add(f"rm.{key}", getattr(trainer.rm, key))
-        counters += [trainer.rm.rng._counter, trainer.rm._last_i]
-    add("counters", np.asarray(counters, dtype=np.int64))
-    if trainer.cwr is not None:
-        for key in ("cw_w", "cw_b", "past"):
-            add(f"cwr.{key}", getattr(trainer.cwr, key))
-    if trainer.si is not None:
-        for kind in ("theta_ref", "omega", "importance"):
-            for ln, pn in trainer.si.keys:
-                add(f"si.{kind}.{ln}.{pn}", getattr(trainer.si, kind)[(ln, pn)])
-    if trainer.dslda is not None:
-        for key in ("mu", "n_c", "scatter", "count"):
-            add(f"dslda.{key}", getattr(trainer.dslda, key))
-    add("loss_trace", np.asarray(report.loss_trace, dtype=np.float64))
-    add("test_logits", trainer.net.predict(test_x))
-    # the trainer's own scoring, which may start from kept tap activations
-    add("test_accuracy", np.float64((trainer.predict_labels(test_x) == test_y).mean()))
     return h.hexdigest()
 
 
