@@ -22,9 +22,9 @@ one reused plane, for a depthwise conv (one channel in, one filter per
 group), else the tap's slice of ``dy @ kern`` in the same layout. The
 zero start keeps a sum of ``-0.0`` planes at ``+0.0``.
 
-conv2d returns a C-contiguous array. Batch Renormalization reduces its
-float64 moments over axes (0, 2, 3) in memory order, so the same values
-in another layout give different moving moments.
+conv2d returns a C-contiguous array. Batch Renormalization sums its
+moments over a C-ordered float64 copy of its input, so the layout it is
+given does not change its bits.
 """
 
 from __future__ import annotations

@@ -9,8 +9,6 @@ batch above it).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import kernels
@@ -128,40 +126,40 @@ class Relu(Layer):
         return (dy * cache).astype(np.float32, copy=False), {}
 
 
-def _rows(a):
-    """C-ordered [n, c, ...] a as its [n, c*h*w] view, and h*w.
+def _planes(a):
+    """A new C-ordered float64 copy of [n, c, ...] a, viewed as [n, c, h*w]."""
+    return a.astype(np.float64, order="C").reshape(len(a), a.shape[1], -1)
 
-    ``v.repeat(h*w)`` lays a per-channel vector v out as one row of the
-    view, so broadcasting it runs one c*h*w-long inner loop per sample
-    where a [1, c, 1, 1] view over [n, c, h, w] runs one per plane.
+
+def _csum(a, b=None):
+    """Per-channel sum of a (or of a*b) over [n, c, h*w] planes.
+
+    On C-ordered operands, ``einsum`` without ``optimize`` adds in an
+    order fixed by the shapes alone, whatever their alignment, and never
+    hands the sum to BLAS.
     """
-    hw = math.prod(a.shape[2:])
-    return a.reshape(len(a), a.shape[1] * hw), hw
+    return np.einsum("ncs->c", a) if b is None else np.einsum("ncs,ncs->c", a, b)
 
 
 class Brn(Layer):
-    """Batch Renormalization.
+    """Batch Renormalization (Ioffe 2017, arXiv 1702.03275).
 
     Train mode normalizes with batch moments corrected by r, d clipped
     against the moving moments, and moves the moving moments; eval mode
-    uses the moving moments and leaves them as they are.
+    uses the moving moments and leaves them as they are. r and d are
+    constants in backward.
 
-    r and d are treated as constants in backward. A moving-moment cache
-    keeps the input, and backward recomputes xhat from it with the
-    moments it reads for dx, the ones current at backward time.
-
-    Forward and backward work in place on one C-ordered float64 copy of
-    x (and of dy), whatever x's layout, but apply the ufuncs of the plain
-    formulas in the same order to the same values, so the bits are
-    theirs: batch moments are ``add.reduce`` over axes (0, 2, 3) of the
-    4-D copy ``/ count``, as ``mean`` and ``var`` compute them; the
-    centred input ``x - mu_b`` serves both the variance and xhat, as in
-    ``var``; and y = ``gamma * (xhat * r + d) + beta`` is built as
-    ``xhat*r, +d, *gamma, +beta`` in the buffer that held the square.
-    Per-channel vectors are broadcast as planes over the copy's
-    [n, c*h*w] view (``_rows``). r and d are clipped with
-    ``minimum(maximum(.))``, which equals ``clip`` except for the sign of
-    a zero d when ``d_max`` is 0.
+    Both modes fold the layer into one per-channel scale and shift over
+    a C-ordered float64 copy of x, so a pass makes two channel sums
+    (``_csum``) and a few elementwise sweeps. With m = n*h*w and
+    cen = x - mu_b, train mode is y = cen*a + b, a = gamma*r/sigma_b,
+    b = gamma*d + beta, and its backward reads S1 = sum(dy) and
+    S2 = sum(dy*cen): dbeta = S1, dgamma = r/sigma_b*S2 + d*S1 and
+    dx = a*dy - a*S1/m - cen*(a*S2/(m*sigma_b^2)). Eval mode is
+    y = x*a + b, a = gamma/sigma_mov, b = beta - mu_mov*a; its cache keeps
+    x, and backward reads the moving moments current at backward time.
+    r and d are clipped with ``minimum(maximum(.))``, which equals
+    ``clip`` except for the sign of a zero d when ``d_max`` is 0.
     """
 
     kind = "brn"
@@ -185,71 +183,48 @@ class Brn(Layer):
             raise ShapeError(f"{self.name}: expected {self.channels} channels, got {c}")
         return in_shape
 
-    def _moving_xhat(self, x):
-        """(x - mu_mov) / sigma_mov as a new float64 array, its [n, c*h*w] view and h*w."""
-        xhat = x.astype(np.float64, order="C")
-        flat, hw = _rows(xhat)
-        flat -= self.mu_mov.repeat(hw)
-        flat /= self.sigma_mov.repeat(hw)
-        return xhat, flat, hw
-
     def forward(self, x, mode):
-        axes = (0, 2, 3) if x.ndim == 4 else (0,)
-        if mode == TRAIN:
-            count = x.size // x.shape[1]
-            xhat = x.astype(np.float64, order="C")
-            flat, hw = _rows(xhat)
-            mu_b = np.add.reduce(xhat, axis=axes) / count
-            flat -= mu_b.repeat(hw)
-            y = np.multiply(xhat, xhat)
-            sigma_b = np.sqrt(np.add.reduce(y, axis=axes) / count + self.eps)
-            flat /= sigma_b.repeat(hw)
-            r = np.minimum(np.maximum(sigma_b / self.sigma_mov, 1.0 / self.r_max), self.r_max)
-            d = np.minimum(np.maximum((mu_b - self.mu_mov) / self.sigma_mov, -self.d_max),
-                           self.d_max)
-            yflat = np.multiply(flat, r.repeat(hw), out=_rows(y)[0])
-            yflat += d.repeat(hw)
-            self.mu_mov = self.avg_rate * self.mu_mov + (1 - self.avg_rate) * mu_b
-            self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
-            cache = ("batch", xhat, sigma_b, r, d)
-        else:
-            y, yflat, hw = self._moving_xhat(x)
-            cache = ("moving", x)
-        yflat *= self.params["gamma"].astype(np.float64).repeat(hw)
-        yflat += self.params["beta"].astype(np.float64).repeat(hw)
-        return y.astype(np.float32), cache
+        gamma = self.params["gamma"].astype(np.float64)
+        beta = self.params["beta"].astype(np.float64)
+        v = _planes(x)
+        if mode != TRAIN:
+            a = gamma / self.sigma_mov
+            v *= a[:, None]
+            v += (beta - self.mu_mov * a)[:, None]
+            return v.reshape(x.shape).astype(np.float32), ("moving", x)
+        m = v.shape[0] * v.shape[2]
+        mu_b = _csum(v) / m
+        v -= mu_b[:, None]
+        sigma_b = np.sqrt(_csum(v, v) / m + self.eps)
+        r = np.minimum(np.maximum(sigma_b / self.sigma_mov, 1.0 / self.r_max), self.r_max)
+        d = np.minimum(np.maximum((mu_b - self.mu_mov) / self.sigma_mov, -self.d_max),
+                       self.d_max)
+        self.mu_mov = self.avg_rate * self.mu_mov + (1 - self.avg_rate) * mu_b
+        self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
+        y = v * (gamma * r / sigma_b)[:, None]
+        y += (gamma * d + beta)[:, None]
+        return y.reshape(x.shape).astype(np.float32), ("batch", v, sigma_b, r, d)
 
     def backward(self, dy, cache, need_dx=True):
-        axes = (0, 2, 3) if dy.ndim == 4 else (0,)
-        dyf = dy.astype(np.float64, order="C")
-        flat, hw = _rows(dyf)
-        dbeta = np.add.reduce(dyf, axis=axes)
+        gamma = self.params["gamma"].astype(np.float64)
+        g = _planes(dy)
+        s1 = _csum(g)
         if cache[0] == "batch":
-            _, xhat, sigma_b, r, d = cache
-            count = dy.size // dy.shape[1]
-            rp, xflat = r.repeat(hw), _rows(xhat)[0]
-            tflat = np.multiply(xflat, rp)
-            t = tflat.reshape(dyf.shape)
-            tflat += d.repeat(hw)
-            tflat *= flat
-            dgamma = np.add.reduce(t, axis=axes)
-            flat *= self.params["gamma"].astype(np.float64).repeat(hw)
-            flat *= rp  # dxhat
-            m_d = np.add.reduce(dyf, axis=axes) / count
-            np.multiply(flat, xflat, out=tflat)
-            m_dx = np.add.reduce(t, axis=axes) / count
-            flat -= m_d.repeat(hw)
-            np.multiply(xflat, m_dx.repeat(hw), out=tflat)
-            flat -= tflat
-            flat /= sigma_b.repeat(hw)
+            _, cen, sigma_b, r, d = cache
+            s2 = _csum(g, cen)
+            dgamma = r / sigma_b * s2 + d * s1
+            m = g.shape[0] * g.shape[2]
+            a = gamma * r / sigma_b
+            g *= a[:, None]
+            g -= (a * s1 / m)[:, None]
+            g -= cen * (a * s2 / (m * sigma_b ** 2))[:, None]
         else:
-            t, tflat, _ = self._moving_xhat(cache[1])
-            tflat *= flat
-            dgamma = np.add.reduce(t, axis=axes)
-            flat *= self.params["gamma"].astype(np.float64).repeat(hw)
-            flat /= self.sigma_mov.repeat(hw)
-        return dyf.astype(np.float32), {"gamma": dgamma.astype(np.float32),
-                                        "beta": dbeta.astype(np.float32)}
+            cen = _planes(cache[1])
+            cen -= self.mu_mov[:, None]
+            dgamma = _csum(g, cen) / self.sigma_mov
+            g *= (gamma / self.sigma_mov)[:, None]
+        return g.reshape(dy.shape).astype(np.float32), {"gamma": dgamma.astype(np.float32),
+                                                         "beta": s1.astype(np.float32)}
 
 
 class GlobalAvgPool(Layer):

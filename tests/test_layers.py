@@ -3,7 +3,7 @@ import pytest
 
 from latentreplay import kernels
 from latentreplay.layers import (Brn, Conv, Dense, DwConv, Flatten,
-                                 GlobalAvgPool, Relu, TRAIN)
+                                 GlobalAvgPool, Relu, TRAIN, _csum)
 from latentreplay.presets import build_tinynic_network
 from latentreplay.rng import SeededRng
 
@@ -288,9 +288,56 @@ def test_brn_4d_channel_axis():
 
 
 class BrnReference(Brn):
-    """Brn before it ran in place: numpy's mean/var/clip on fresh float64
-    temporaries, with xhat kept in the moving-moment cache. Bitwise
+    """The folded BRN formulas written out on fresh float64 temporaries:
+    per-channel sums are ``einsum`` over [n, c, h*w] planes, r and d are
+    ``clip``ped, and the batch cache keeps the centred input. Bitwise
     reference for the layer."""
+
+    def forward(self, x, mode):
+        xf = x.astype(np.float64).reshape(len(x), x.shape[1], -1)
+        gamma = self.params["gamma"].astype(np.float64)
+        beta = self.params["beta"].astype(np.float64)
+        if mode != TRAIN:
+            a = gamma / self.sigma_mov
+            y = xf * a[:, None] + (beta - self.mu_mov * a)[:, None]
+            return y.reshape(x.shape).astype(np.float32), ("moving", x)
+        m = xf.shape[0] * xf.shape[2]
+        mu_b = np.einsum("ncs->c", xf) / m
+        cen = xf - mu_b[:, None]
+        sigma_b = np.sqrt(np.einsum("ncs,ncs->c", cen, cen) / m + self.eps)
+        r = np.clip(sigma_b / self.sigma_mov, 1.0 / self.r_max, self.r_max)
+        d = np.clip((mu_b - self.mu_mov) / self.sigma_mov, -self.d_max, self.d_max)
+        y = cen * (gamma * r / sigma_b)[:, None] + (gamma * d + beta)[:, None]
+        self.mu_mov = self.avg_rate * self.mu_mov + (1 - self.avg_rate) * mu_b
+        self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
+        return y.reshape(x.shape).astype(np.float32), ("batch", cen, sigma_b, r, d)
+
+    def backward(self, dy, cache, need_dx=True):
+        gamma = self.params["gamma"].astype(np.float64)
+        dyf = dy.astype(np.float64).reshape(len(dy), dy.shape[1], -1)
+        s1 = np.einsum("ncs->c", dyf)
+        if cache[0] == "batch":
+            _, cen, sigma_b, r, d = cache
+            m = dyf.shape[0] * dyf.shape[2]
+            s2 = np.einsum("ncs,ncs->c", dyf, cen)
+            a = gamma * r / sigma_b
+            dgamma = r / sigma_b * s2 + d * s1
+            dx = (dyf * a[:, None] - (a * s1 / m)[:, None]
+                  - cen * (a * s2 / (m * sigma_b ** 2))[:, None])
+        else:
+            x = cache[1]
+            cen = x.astype(np.float64).reshape(len(x), x.shape[1], -1) - self.mu_mov[:, None]
+            dgamma = np.einsum("ncs,ncs->c", dyf, cen) / self.sigma_mov
+            dx = dyf * (gamma / self.sigma_mov)[:, None]
+        return dx.reshape(dy.shape).astype(np.float32), {"gamma": dgamma.astype(np.float32),
+                                                         "beta": s1.astype(np.float32)}
+
+
+class BrnTextbook(Brn):
+    """Ioffe 2017's BRN as the layer computed it before the fold: numpy's
+    mean/var/clip over axes (0, 2, 3), xhat, then y = gamma*(xhat*r + d)
+    + beta, and the textbook batch-norm backward through xhat. Reference
+    within rounding for the folded layer."""
 
     def _bview(self, per_channel, ndim):
         if ndim == 4:
@@ -355,38 +402,65 @@ def same_bits(a, b):
                           b.view(np.uint64 if b.dtype == np.float64 else np.uint32))
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-@pytest.mark.parametrize("n", [1, 4, 48, 256])
-@pytest.mark.parametrize("shape", BRN_SHAPES, ids=str)
-def test_brn_matches_reference_bitwise(shape, n, mode):
-    """Two forwards, then backward from each cache: the first cache feeds
-    backward after the second forward has moved the moments (train mode).
-    Moving moments are wide enough that r and d clip on some channels and
-    not on others. The float64 batch caches are compared too, because a
-    one-ulp float64 change rarely survives the float32 cast of y."""
+def brn_two_steps(cls, shape, n, mode, zero_gamma=False):
+    """Two forwards of a seeded ``cls`` layer, then backward from each
+    cache: the first cache feeds backward after the second forward has
+    moved the moments (train mode). Moving moments are wide enough that r
+    and d clip on some channels and not on others; ``zero_gamma`` sets
+    gamma to 0 on channel 0. Returns (outputs, batch caches): y of each
+    forward, dx, dgamma and dbeta of each backward, then the moving
+    moments."""
     c = shape[0]
     r = SeededRng(1000 * n + int(np.prod(shape)))
     gamma = (0.5 + r.uniform((c,))).astype(np.float32)
+    if zero_gamma:
+        gamma[0] = 0.0
     beta = (0.1 * r.normal((c,))).astype(np.float32)
     mu, sigma = 0.5 * r.normal((c,)).astype(np.float64), 0.4 + 3.0 * r.uniform((c,))
     xs = [(1.7 * r.normal((n,) + shape) + 0.4).astype(np.float32) for _ in range(2)]
     dys = [r.normal((n,) + shape) for _ in range(2)]
-    outs = []
-    for cls in (Brn, BrnReference):
-        layer = cls("b", c, avg_rate=0.9)
-        layer.params["gamma"], layer.params["beta"] = gamma.copy(), beta.copy()
-        layer.mu_mov, layer.sigma_mov = mu.copy(), sigma.copy()
-        fwd = [layer.forward(x, mode) for x in xs]
-        out = [y for y, _ in fwd]
-        out += [a for _, cache in fwd if cache[0] == "batch" for a in cache[1:]]
-        for (_, cache), dy in zip(fwd, dys):
-            dx, g = layer.backward(dy, cache)
-            out += [dx, g["gamma"], g["beta"]]
-        outs.append(out + [layer.mu_mov, layer.sigma_mov])
-    new, ref = outs
+    layer = cls("b", c, avg_rate=0.9)
+    layer.params["gamma"], layer.params["beta"] = gamma, beta
+    layer.mu_mov, layer.sigma_mov = mu, sigma
+    fwd = [layer.forward(x, mode) for x in xs]
+    out = [y for y, _ in fwd]
+    for (_, cache), dy in zip(fwd, dys):
+        dx, g = layer.backward(dy, cache)
+        out += [dx, g["gamma"], g["beta"]]
+    caches = [a for _, cache in fwd if cache[0] == "batch" for a in cache[1:]]
+    return out + [layer.mu_mov, layer.sigma_mov], caches
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("n", [1, 4, 48, 256])
+@pytest.mark.parametrize("shape", BRN_SHAPES, ids=str)
+def test_brn_matches_reference_bitwise(shape, n, mode):
+    """The in-place layer gives the bits of the folded formulas. The
+    float64 batch caches (centred input, sigma_b, r, d) are compared too,
+    because a one-ulp float64 change rarely survives the float32 cast of
+    y."""
+    new, ref = (sum(brn_two_steps(cls, shape, n, mode), [])
+                for cls in (Brn, BrnReference))
     assert len(new) == len(ref) == (18 if mode == "train" else 10)
     for i, (a, b) in enumerate(zip(new, ref)):
         assert same_bits(a, b), f"output {i} differs"
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("n", [1, 4, 48, 256])
+@pytest.mark.parametrize("shape", BRN_SHAPES, ids=str)
+def test_brn_matches_textbook_within_rounding(shape, n, mode):
+    """The fold computes the textbook chain through xhat: y, dx, dgamma,
+    dbeta and the moving moments agree to rounding, also where r or d
+    clip and on a channel whose gamma is 0."""
+    (new, _), (book, caches) = (brn_two_steps(cls, shape, n, mode, zero_gamma=True)
+                                for cls in (Brn, BrnTextbook))
+    if mode == "train":
+        r, d = caches[2], caches[3]
+        assert np.any((r == 1.25) | (r == 0.8) | (np.abs(d) == 0.5))
+    for i, (a, b) in enumerate(zip(new, book)):
+        tol = 1e-12 if a.dtype == np.float64 else 1e-6
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=f"output {i}")
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -418,3 +492,20 @@ def test_brn_input_layout_does_not_change_bits(shape, mode):
         got = run(xl, dyl)
         for i, (a, b) in enumerate(zip(got, ref)):
             assert same_bits(a, b), f"output {i} differs"
+
+
+@pytest.mark.parametrize("shape", BRN_SHAPES, ids=str)
+def test_brn_channel_sums_do_not_depend_on_alignment(shape):
+    """Brn sums its own float64 copies, which land wherever the allocator
+    puts them: both channel sums give the same bits at every 8-byte
+    offset within 64 bytes."""
+    r = SeededRng(3000 + int(np.prod(shape)))
+    a, b = (r.normal((48, shape[0], int(np.prod(shape[1:])))).astype(np.float64)
+            for _ in range(2))
+    ref = [_csum(a), _csum(a, b)]
+    for off in range(1, 8):
+        buf = np.empty((2, a.size + 8))
+        va = buf[0, off:off + a.size].reshape(a.shape)
+        vb = buf[1, 8 - off:8 - off + a.size].reshape(a.shape)
+        va[...], vb[...] = a, b
+        assert same_bits(_csum(va), ref[0]) and same_bits(_csum(va, vb), ref[1])
