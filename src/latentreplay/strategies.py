@@ -50,43 +50,40 @@ _PRESETS = {
 
 class CwrHead:
     """Consolidated ('cw') copy of the output head, fused with the live
-    temporary head ('tw') after every batch. Rows of classes never seen
-    stay exactly zero."""
+    temporary head ('tw') after every batch. ``preinit`` and
+    ``consolidate`` take the pool's per-class pattern counts (one entry
+    per class); the classes with a non-zero count are the ones the head
+    manages. Columns of classes never seen stay exactly zero."""
 
     def __init__(self, in_features: int, classes: int):
         self.cw_w = np.zeros((in_features, classes), dtype=np.float32)
         self.cw_b = np.zeros(classes, dtype=np.float32)
         self.past = np.zeros(classes, dtype=np.float64)
 
-    def preinit(self, head, classes_in_batch) -> None:
-        """tw_j <- cw_j for batch classes, zero elsewhere."""
-        classes = sorted(set(int(c) for c in classes_in_batch))
-        if not classes:
+    def preinit(self, head, counts: np.ndarray) -> None:
+        """tw_j <- cw_j for the counted classes, zero elsewhere."""
+        present = counts > 0
+        if not present.any():
             raise ConfigError("empty class set for CWR pre-init")
         w, b = head.params["w"], head.params["b"]
         w[...] = 0.0
         b[...] = 0.0
-        for j in classes:
-            w[:, j] = self.cw_w[:, j]
-            b[j] = self.cw_b[j]
+        w[:, present] = self.cw_w[:, present]
+        b[present] = self.cw_b[present]
 
-    def consolidate(self, head, classes_in_batch, cur_counts: dict) -> None:
-        """Fuse tw into cw with sqrt(past/cur) weighting, mean-shifted
-        over the batch classes; rows of absent classes are untouched."""
-        classes = sorted(set(int(c) for c in classes_in_batch))
-        for j in classes:
-            if cur_counts.get(j, 0) <= 0:
-                raise ConfigError(f"class {j} claimed in batch but has zero patterns")
+    def consolidate(self, head, counts: np.ndarray) -> None:
+        """Fuse tw into cw with sqrt(past/count) weighting, mean-shifted
+        over the counted classes; columns of the others are untouched."""
+        j = np.flatnonzero(counts)
         tw_w, tw_b = head.params["w"], head.params["b"]
-        mean_w = tw_w[:, classes].astype(np.float64).mean(axis=1)
-        mean_b = float(tw_b[classes].astype(np.float64).mean())
-        for j in classes:
-            wpast = np.sqrt(self.past[j] / cur_counts[j])
-            self.cw_w[:, j] = ((self.cw_w[:, j] * wpast
-                                + (tw_w[:, j] - mean_w)) / (wpast + 1.0)).astype(np.float32)
-            self.cw_b[j] = np.float32((self.cw_b[j] * wpast + (tw_b[j] - mean_b))
-                                      / (wpast + 1.0))
-            self.past[j] += cur_counts[j]
+        mean_w = tw_w[:, j].astype(np.float64).mean(axis=1, keepdims=True)
+        mean_b = float(tw_b[j].astype(np.float64).mean())  # keeps tw_b - mean_b float32
+        wpast = np.sqrt(self.past[j] / counts[j])
+        self.cw_w[:, j] = ((self.cw_w[:, j] * wpast + (tw_w[:, j] - mean_w))
+                           / (wpast + 1.0)).astype(np.float32)
+        self.cw_b[j] = ((self.cw_b[j] * wpast + (tw_b[j] - mean_b))
+                        / (wpast + 1.0)).astype(np.float32)
+        self.past[j] += counts[j]
 
     def install(self, head) -> None:
         """Copy the consolidated head into the live layer (for evaluation)."""
@@ -350,16 +347,14 @@ class ContinualTrainer:
                                train_ms=(time.perf_counter() - t0) * 1000.0)
 
         self._configure_batch(i)
-        # the batch trained on is B_i u RM, so the double-memory head manages
-        # the classes of the joint pool, not just the native session's
-        pool_counts = np.bincount(y if self.rm is None
-                                  else np.concatenate([y, self.rm.labels]),
-                                  minlength=net.class_count)
-        head_classes = np.flatnonzero(pool_counts).tolist()
-        cur_counts = {j: int(pool_counts[j]) for j in head_classes}
         if self.cwr is not None:
-            self.cwr.preinit(net.layer(net.head_name), head_classes)
-        absent = pool_counts == 0
+            # the batch trained on is B_i u RM, so the double-memory head manages
+            # the classes of the joint pool, not just the native session's
+            pool_counts = np.bincount(y if self.rm is None
+                                      else np.concatenate([y, self.rm.labels]),
+                                      minlength=net.class_count)
+            self.cwr.preinit(net.layer(net.head_name), pool_counts)
+            absent = pool_counts == 0
 
         B = len(x)
         if self.rm is not None and len(self.rm) > 0:
@@ -419,7 +414,7 @@ class ContinualTrainer:
         if self.si is not None:
             self.si.consolidate(net, is_first_batch=(i == 1))
         if self.cwr is not None:
-            self.cwr.consolidate(net.layer(net.head_name), head_classes, cur_counts)
+            self.cwr.consolidate(net.layer(net.head_name), pool_counts)
             self.cwr.install(net.layer(net.head_name))
 
         if self.rm is not None and self.rm.capacity > 0:

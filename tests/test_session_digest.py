@@ -129,3 +129,10 @@ def test_one_ulp_or_one_draw_in_any_state_entry_changes_state_and_digest(make):
         assert digest(t) != base_digest, key
         changed.add(key)
     assert changed == set(base)
+
+
+def test_blas_thread_count_defaults_to_one_and_keeps_the_callers():
+    environ = {"OPENBLAS_NUM_THREADS": "2", "PATH": "/bin"}
+    session_digest.default_blas_threads(environ)
+    assert environ == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                       "MKL_NUM_THREADS": "1", "PATH": "/bin"}

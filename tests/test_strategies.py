@@ -25,10 +25,17 @@ def head_layer(in_features=4, classes=6, seed=0):
 # -- CWR* head -----------------------------------------------------------------
 
 
+def pool_counts(per_class: dict, classes=6):
+    """The per-class count array of a pool holding ``{class: count}``."""
+    counts = np.zeros(classes, dtype=np.int64)
+    counts[list(per_class)] = list(per_class.values())
+    return counts
+
+
 def test_preinit_first_batch_all_zero():
     head = head_layer()
     cwr = CwrHead(4, 6)
-    cwr.preinit(head, {0, 2})
+    cwr.preinit(head, pool_counts({0: 1, 2: 1}))
     assert np.all(head.params["w"] == 0)
     assert np.all(head.params["b"] == 0)
 
@@ -39,7 +46,7 @@ def test_preinit_copies_cw_for_batch_classes_only():
     cwr.cw_w[:, 1] = 0.2
     cwr.cw_w[:, 3] = -0.7
     cwr.cw_b[1] = 0.5
-    cwr.preinit(head, {1})
+    cwr.preinit(head, pool_counts({1: 1}))
     assert np.allclose(head.params["w"][:, 1], 0.2)
     assert head.params["b"][1] == pytest.approx(0.5)
     assert np.all(head.params["w"][:, 3] == 0)  # class 3 not in batch
@@ -47,17 +54,17 @@ def test_preinit_copies_cw_for_batch_classes_only():
 
 def test_preinit_empty_class_set_errors():
     with pytest.raises(ConfigError):
-        CwrHead(4, 6).preinit(head_layer(), set())
+        CwrHead(4, 6).preinit(head_layer(), pool_counts({}))
 
 
 def test_consolidate_first_time_is_mean_shifted_tw():
     head = head_layer()
     cwr = CwrHead(4, 6)
-    cwr.preinit(head, {0, 1})
+    cwr.preinit(head, pool_counts({0: 10, 1: 10}))
     tw = SeededRng(1).normal((4, 6))
     head.params["w"][...] = tw
     head.params["b"][...] = 0.0
-    cwr.consolidate(head, {0, 1}, {0: 10, 1: 10})
+    cwr.consolidate(head, pool_counts({0: 10, 1: 10}))
     mean = tw[:, [0, 1]].mean(axis=1)
     assert np.allclose(cwr.cw_w[:, 0], tw[:, 0] - mean, atol=1e-6)
     assert np.allclose(cwr.cw_w[:, 1], tw[:, 1] - mean, atol=1e-6)
@@ -69,9 +76,9 @@ def test_consolidate_absent_class_rows_untouched():
     cwr = CwrHead(4, 6)
     cwr.cw_w[:, 5] = 0.33
     before = cwr.cw_w[:, 5].copy()
-    cwr.preinit(head, {0})
+    cwr.preinit(head, pool_counts({0: 5}))
     head.params["w"][:, 0] = 1.0
-    cwr.consolidate(head, {0}, {0: 5})
+    cwr.consolidate(head, pool_counts({0: 5}))
     assert np.array_equal(cwr.cw_w[:, 5], before)
 
 
@@ -84,17 +91,84 @@ def test_consolidate_equal_past_and_cur_averages():
     tw = SeededRng(3).normal((4, 6))
     head.params["w"][...] = tw
     head.params["b"][...] = 0.0
-    cwr.consolidate(head, {2}, {2: 7})  # wpast = 1
+    cwr.consolidate(head, pool_counts({2: 7}))  # wpast = 1
     want = (cw0 + (tw[:, 2] - tw[:, [2]].mean(axis=1))) / 2.0
     assert np.allclose(cwr.cw_w[:, 2], want, atol=1e-6)
     assert cwr.past[2] == 14
 
 
-def test_consolidate_zero_count_claimed_class_errors():
-    head = head_layer()
-    cwr = CwrHead(4, 6)
-    with pytest.raises(ConfigError):
-        cwr.consolidate(head, {0}, {0: 0})
+class CwrLoopReference:
+    """The CWR head as one column per class: sorted class list, a
+    ``{class: count}`` dict and scalar arithmetic for each column."""
+
+    def __init__(self, in_features, classes):
+        self.cw_w = np.zeros((in_features, classes), dtype=np.float32)
+        self.cw_b = np.zeros(classes, dtype=np.float32)
+        self.past = np.zeros(classes, dtype=np.float64)
+
+    def preinit(self, head, classes):
+        w, b = head.params["w"], head.params["b"]
+        w[...] = 0.0
+        b[...] = 0.0
+        for j in classes:
+            w[:, j] = self.cw_w[:, j]
+            b[j] = self.cw_b[j]
+
+    def consolidate(self, head, classes, cur_counts):
+        tw_w, tw_b = head.params["w"], head.params["b"]
+        mean_w = tw_w[:, classes].astype(np.float64).mean(axis=1)
+        mean_b = float(tw_b[classes].astype(np.float64).mean())
+        for j in classes:
+            wpast = np.sqrt(self.past[j] / cur_counts[j])
+            self.cw_w[:, j] = ((self.cw_w[:, j] * wpast
+                                + (tw_w[:, j] - mean_w)) / (wpast + 1.0)).astype(np.float32)
+            self.cw_b[j] = np.float32((self.cw_b[j] * wpast + (tw_b[j] - mean_b))
+                                      / (wpast + 1.0))
+            self.past[j] += cur_counts[j]
+
+    def install(self, head):
+        head.params["w"][...] = self.cw_w
+        head.params["b"][...] = self.cw_b
+
+
+# consecutive pools over 6 classes: several classes with some absent, one new
+# class alone, seen classes (past > 0) with a new one, every class, one seen
+# class alone
+CWR_POOLS = [{0: 12, 1: 9, 2: 3, 3: 7}, {4: 10}, {1: 5, 4: 2, 5: 8},
+             {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6}, {2: 3}, {5: 40, 0: 1}]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cwr_head_matches_per_column_loops_bitwise(seed):
+    """The array form gives the bits of the per-column loops in cw_w,
+    cw_b, past and the live head, batch after batch."""
+    def assert_same_bits(*pairs):
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    heads = [head_layer(in_features=7, seed=seed) for _ in range(2)]
+    cwr, ref = CwrHead(7, 6), CwrLoopReference(7, 6)
+    rng = np.random.default_rng(seed)
+    for per_class in CWR_POOLS:
+        counts = pool_counts(per_class)
+        classes = np.flatnonzero(counts).tolist()
+        cwr.preinit(heads[0], counts)
+        ref.preinit(heads[1], classes)
+        assert_same_bits(*zip(heads[0].params.values(), heads[1].params.values()))
+        # training moves the counted columns only
+        step_w = rng.normal(size=(7, 6)).astype(np.float32) * (counts > 0)
+        step_b = rng.normal(size=6).astype(np.float32) * (counts > 0)
+        for head in heads:
+            head.params["w"] += step_w
+            head.params["b"] += step_b
+        cwr.consolidate(heads[0], counts)
+        ref.consolidate(heads[1], classes, {j: int(counts[j]) for j in classes})
+        cwr.install(heads[0])
+        ref.install(heads[1])
+        assert_same_bits((cwr.cw_w, ref.cw_w), (cwr.cw_b, ref.cw_b), (cwr.past, ref.past),
+                         *zip(heads[0].params.values(), heads[1].params.values()))
+    assert np.all(cwr.past > 0) and np.any(cwr.cw_w != 0)
 
 
 # -- synaptic intelligence --------------------------------------------------------

@@ -14,6 +14,11 @@ checkout:
 
     python3 tools/session_digest.py --workload latent-relu3-rm500 --seed 2024
 
+BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` (or
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) is already set, so the same
+command prefixed with ``OPENBLAS_NUM_THREADS=2`` checks that the bits do
+not depend on the thread count.
+
 A change keeps the same bits when two checks agree between its checkout
 and its parent's: this tool's digests for every workload at scenario
 seeds 2024 and 7, and ``diff -r`` of the two output directories of
@@ -91,8 +96,13 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    # as in streambench/run.py: BLAS reads its thread count when numpy loads
+def default_blas_threads(environ) -> None:
+    """Set each BLAS thread count the caller left unset to 1, as
+    streambench/run.py pins it."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
+        environ.setdefault(var, "1")
+
+
+if __name__ == "__main__":
+    default_blas_threads(os.environ)  # BLAS reads its thread count when numpy loads
     sys.exit(main())
