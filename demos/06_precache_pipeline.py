@@ -49,7 +49,7 @@ print(f"cached {len(cached)} latents while 'recording' "
       f"({time.time() - t0:.2f}s)")
 
 # training touches only the head: 20 fresh + 100 replay per mini-batch
-n_nat, n_rep, _ = compose_minibatch(rm, len(cached), 120, rng)
+n_nat, n_rep = compose_minibatch(rm, len(cached), 120)
 print(f"mini-batch split: {n_nat} fresh + {n_rep} replay")
 t0 = time.time()
 steps = 0

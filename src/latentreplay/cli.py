@@ -170,16 +170,18 @@ def _prepare(cfg: ExperimentConfig, scenario: NicScenario, tap: str | None,
 def cmd_run(args) -> int:
     doc = _load_json(args.config)
     cfg = ExperimentConfig(doc, base_dir=os.path.dirname(os.path.abspath(args.config)))
+    if args.seed is not None:
+        require_int("--seed", args.seed, 0)
     seeds = [args.seed] if args.seed is not None else cfg.seeds
     out_dir = args.out or cfg.output_dir
     if not out_dir:
         raise ConfigError("no output directory (set output_dir or pass --out)")
-    os.makedirs(out_dir, exist_ok=True)
 
     scenario = cfg.load_scenario()
-    # every block is checked before the first one trains
+    # every block is checked before the first one trains or anything is written
     jobs = {(name, seed): (_prepare(cfg, scenario, tap, strat, seed), strat)
             for name, tap, strat in cfg.strategies for seed in seeds}
+    os.makedirs(out_dir, exist_ok=True)
     workers = max(1, min(len(jobs), os.cpu_count() or 1))
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futs = {pool.submit(run_protocol, net, strat, scenario, seed=key[1],
@@ -241,6 +243,7 @@ def cmd_scenario(args) -> int:
     block = _load_json(args.config) if args.config else {}
     params, seed = _scenario_params_from(block)
     if args.seed is not None:
+        require_int("--seed", args.seed, 0)
         seed = args.seed
     scenario = generate_tinynic(params, seed)
     path = save_scenario(scenario, args.out)

@@ -98,21 +98,16 @@ def _keep_then_append(stored: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
     return np.concatenate([stored[keep], rows]) if len(stored) else rows
 
 
-def compose_minibatch(rm: ReplayMemory, batch_size: int, mb: int,
-                      rng: SeededRng | None = None):
-    """Split a mini-batch of size ``mb`` between native and replay rows.
-
-    n_native = round(mb * B / (B + |rm|)); the replay rows are drawn
-    uniformly without replacement. Returns (n_native, n_replay, indices).
-    """
+def compose_minibatch(rm: ReplayMemory | None, batch_size: int, mb: int):
+    """Split a mini-batch of size ``mb`` between native and replay rows:
+    n_native = round(mb * B / (B + |rm|)), or min(mb, B) without a memory
+    or with an empty one. Draws nothing. Returns (n_native, n_replay)."""
     if mb < 1:
         raise ConfigError("mini-batch size must be >= 1")
-    if len(rm) == 0:
-        return mb, 0, np.array([], dtype=np.int64)
+    if rm is None or len(rm) == 0:
+        return min(mb, batch_size), 0
     n_native = round(mb * batch_size / (batch_size + len(rm)))
-    n_replay = mb - n_native
-    idx = rm.sample(n_replay, rng) if n_replay else np.array([], dtype=np.int64)
-    return n_native, n_replay, idx
+    return n_native, mb - n_native
 
 
 def l1_activation_penalty(acts: np.ndarray, alpha: float):

@@ -335,6 +335,9 @@ class ContinualTrainer:
             raise ConfigError("empty training batch")
         if len(y) != len(x):
             raise ShapeError(f"{len(y)} labels for {len(x)} rows")
+        if y.min() < 0 or y.max() >= self.net.class_count:
+            raise ShapeError(f"labels must lie in [0, {self.net.class_count}), "
+                             f"got {y.min()}..{y.max()}")
         self.batch_count = i
         net, cfg = self.net, self.cfg
         t0 = time.perf_counter()
@@ -357,10 +360,7 @@ class ContinualTrainer:
             absent = pool_counts == 0
 
         B = len(x)
-        if self.rm is not None and len(self.rm) > 0:
-            n_nat, n_rep, _ = compose_minibatch(self.rm, B, cfg.mb, self.rng)
-        else:
-            n_nat, n_rep = min(cfg.mb, B), 0
+        n_nat, n_rep = compose_minibatch(self.rm, B, cfg.mb)
         n_nat = max(n_nat, 1)
         iterations = -(-B // n_nat)
         sparsify = cfg.sparsifier_alpha != 0.0 and i == 1

@@ -506,7 +506,7 @@ def test_run_checks_every_block_before_training(tmp_path, monkeypatch, bad):
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert calls == []
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_run_seed_override(tmp_path):
@@ -515,6 +515,20 @@ def test_run_seed_override(tmp_path):
     assert main(["run", "--config", str(cfg), "--seed", "5",
                  "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()  # single combo after override
+
+
+@pytest.mark.parametrize("seed", ["-3", "-1"])
+def test_run_and_scenario_seed_flags_are_checked_like_config_seeds(tmp_path, capsys, seed):
+    cfg = run_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--seed", seed, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --seed must be an integer >= 0, got {seed}"]
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps(SMALL_GEN))
+    assert main(["scenario", "--config", str(gen), "--seed", seed, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --seed must be an integer >= 0")
+    assert not out.exists()
 
 
 def test_run_multiseed_files(tmp_path):

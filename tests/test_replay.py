@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,21 +182,14 @@ def _memory_with(n):
 
 
 def test_compose_paper_proportions():
-    rm = _memory_with(1500)
-    n_nat, n_rep, idx = compose_minibatch(rm, 300, 128, SeededRng(11))
-    assert (n_nat, n_rep) == (21, 107)
-    assert len(idx) == 107 and len(set(idx.tolist())) == 107
-
-    rm = _memory_with(500)
-    n_nat, n_rep, _ = compose_minibatch(rm, 100, 120, SeededRng(12))
-    assert (n_nat, n_rep) == (20, 100)
+    assert compose_minibatch(_memory_with(1500), 300, 128) == (21, 107)
+    assert compose_minibatch(_memory_with(500), 100, 120) == (20, 100)
 
 
 def test_compose_empty_memory():
-    rm = _memory_with(0)
-    n_nat, n_rep, idx = compose_minibatch(rm, 300, 64, SeededRng(13))
-    assert (n_nat, n_rep) == (64, 0)
-    assert len(idx) == 0
+    for rm in (None, _memory_with(0)):
+        assert compose_minibatch(rm, 300, 64) == (64, 0)
+        assert compose_minibatch(rm, 20, 64) == (20, 0)
 
 
 def test_compose_counts_invariants():
@@ -204,11 +199,23 @@ def test_compose_counts_invariants():
         rm = _memory_with(rm_n)
         B = int(r.randint(1, 500)[0])
         mb = int(r.randint(1, min(B + rm_n, 256) + 1)[0])
-        n_nat, n_rep, idx = compose_minibatch(rm, B, mb, r)
+        n_nat, n_rep = compose_minibatch(rm, B, mb)
         assert n_nat + n_rep == mb
         assert n_nat >= 0 and n_rep >= 0
         assert n_rep <= rm_n
-        assert len(set(idx.tolist())) == len(idx)
+
+
+def test_compose_leaves_every_rng_counter_where_it_was():
+    net = build_tinynic_network(classes=6, seed=3, width=4, tap="pool")
+    trainer = ContinualTrainer(net, StrategyConfig(
+        strategy="ar1*free", replay_kind="latent", rm_capacity=20, epochs=1, mb=8), seed=4)
+    trainer.train_batch(SeededRng(5).normal((12, 1, 16, 16)), np.arange(12) % 6)
+    counters = trainer.state()["counters"]
+    assert len(trainer.rm) == 12 and len(counters) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # sampling 51 of 12 rows would warn
+        assert compose_minibatch(trainer.rm, 3, 64) == (13, 51)
+    assert np.array_equal(trainer.state()["counters"], counters)
 
 
 def test_sample_negative_count_raises():
@@ -216,12 +223,14 @@ def test_sample_negative_count_raises():
         _memory_with(10).sample(-2)
 
 
-def test_compose_with_replacement_fallback_warns():
+@pytest.mark.parametrize("rows", [None, 3])
+def test_sample_with_replacement_warns_once_per_call(rows):
     rm = _memory_with(5)
-    with pytest.warns(UserWarning):
-        n_nat, n_rep, idx = compose_minibatch(rm, 2, 64, SeededRng(15))
-    assert n_nat + n_rep == 64
-    assert len(idx) == n_rep
+    with pytest.warns(UserWarning, match="with replacement") as caught:
+        idx = rm.sample(12, SeededRng(15), rows=rows)
+    assert len(caught) == 1
+    assert idx.shape == ((12,) if rows is None else (rows, 12))
+    assert idx.min() >= 0 and idx.max() < 5
 
 
 # -- pre-caching latents while frames arrive -------------------------------------

@@ -935,6 +935,27 @@ def test_label_count_must_match_row_count(memory):
     assert trainer.batch_count == 0
 
 
+@pytest.mark.parametrize("strategy", sorted(strategies._PRESETS))
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_out_of_range_labels_are_rejected_before_state_moves(strategy, bad):
+    """A label outside [0, classes) is a ShapeError, raised before the batch
+    count or any other state moves; dslda would otherwise train -1 as the
+    last class, and the SGD presets fail deep inside the step."""
+    net = build_tinynic_network(classes=6, seed=43, width=4, tap="pool")
+    trainer = ContinualTrainer(net, StrategyConfig(strategy=strategy, epochs=1, mb=8), seed=14)
+    (x1, y1), (x2, y2) = tinynic_batches(2, per_batch=6, seed=44)
+    trainer.train_batch(x1, y1)
+    before = {k: v.copy() for k, v in trainer.state().items()}
+    y2 = y2.copy()
+    y2[[1, 4]] = bad
+    with pytest.raises(ShapeError, match="labels must lie in"):
+        trainer.train_batch(x2, y2)
+    after = trainer.state()
+    assert list(after) == list(before)
+    for key, arr in before.items():
+        assert arr.dtype == after[key].dtype and arr.tobytes() == after[key].tobytes(), key
+
+
 def test_config_errors():
     net = build_tinynic_network(classes=6, seed=27)
     with pytest.raises(ConfigError):
@@ -1004,12 +1025,12 @@ def test_first_batch_lr_then_later_lr():
 
 def replay_keys_per_batch(trainer, B):
     """Integers the trainer's RNG should consume over one batch of B rows,
-    given the memory as it stands: the discarded compose_minibatch draw,
-    then per epoch the permutation and one draw per step."""
+    given the memory as it stands: per epoch the permutation and one draw
+    per step."""
     m, mb = len(trainer.rm), trainer.cfg.mb
     n_nat = max(round(mb * B / (B + m)), 1)
     per_draw = max(m, mb - n_nat)  # m keys, or one per index with replacement
-    return per_draw + trainer.cfg.epochs * (B + -(-B // n_nat) * per_draw)
+    return trainer.cfg.epochs * (B + -(-B // n_nat) * per_draw)
 
 
 @pytest.mark.parametrize("draw_keys, blocks", [(None, 1), (70, 3)],
@@ -1043,7 +1064,7 @@ def test_replay_draws_consume_one_key_per_item_per_step(draw_keys, blocks, monke
     trace, draws, net = run()
     # batch 3: 32 items and 3 native rows per step, so 6 steps per epoch, 2 per
     # block of at most 70 keys
-    assert draws == [None] + [6 // blocks] * blocks * 2
+    assert draws == [6 // blocks] * blocks * 2
     assert np.array_equal(np.array(trace).view(np.uint64), np.array(ref_trace).view(np.uint64))
     for la, lb in zip(net.layers, ref_net.layers):
         for k in la.params:
@@ -1052,8 +1073,8 @@ def test_replay_draws_consume_one_key_per_item_per_step(draw_keys, blocks, monke
 
 def test_replay_with_replacement_warns_once_per_draw():
     """mb > B + |rm|: every draw falls back to sampling with replacement
-    and warns once, the compose_minibatch draw and each epoch's, which is
-    one step long since the native rows then cover the batch."""
+    and warns once: each epoch's, which is one step long since the native
+    rows then cover the batch."""
     net = build_tinynic_network(classes=6, seed=42, width=4, tap="pool")
     cfg = StrategyConfig(strategy="ar1*free", replay_kind="latent", rm_capacity=5,
                          epochs=3, mb=64)
@@ -1063,6 +1084,6 @@ def test_replay_with_replacement_warns_once_per_draw():
     counter, expected = trainer.rng._counter, replay_keys_per_batch(trainer, len(x2))
     with pytest.warns(UserWarning, match="with replacement") as caught:
         report = trainer.train_batch(x2, y2)
-    assert len([w for w in caught if "with replacement" in str(w.message)]) == 1 + cfg.epochs
+    assert len([w for w in caught if "with replacement" in str(w.message)]) == cfg.epochs
     assert trainer.rng._counter - counter == expected
     assert np.isfinite(report.loss_trace).all()
