@@ -67,6 +67,10 @@ def _strategy_from(block: dict) -> tuple[str, str | None, StrategyConfig]:
     return str(name), tap, StrategyConfig(**kwargs)
 
 
+def _slug(name: str) -> str:
+    return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
+
+
 class ExperimentConfig:
     """Validated experiment description (unknown keys rejected)."""
 
@@ -99,9 +103,15 @@ class ExperimentConfig:
         if not isinstance(doc["strategies"], list):
             raise ConfigError(f"strategies must be a list, got {doc['strategies']!r}")
         self.strategies = [_strategy_from(b) for b in doc["strategies"]]
-        names = [n for n, _, _ in self.strategies]
-        if len(set(names)) != len(names):
-            raise ConfigError("strategy names must be unique")
+        # a block's metrics file is named after its slug, so two names
+        # with one slug would write one file
+        seen: dict[str, str] = {}
+        for name, _, _ in self.strategies:
+            slug = _slug(name)
+            if slug in seen:
+                raise ConfigError(f"strategy names {seen[slug]!r} and {name!r} would share "
+                                  f"the metrics file metrics_{slug}_s<seed>.csv")
+            seen[slug] = name
         self.seeds = doc.get("seeds", [0])
         if not isinstance(self.seeds, list) or not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
@@ -233,10 +243,6 @@ def cmd_run(args) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
     print(os.path.join(out_dir, "summary.json"))
     return 0
-
-
-def _slug(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
 
 
 def cmd_scenario(args) -> int:

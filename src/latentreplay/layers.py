@@ -31,20 +31,19 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
-        """Returns (dx, param_grads). With ``need_dx`` false the caller
-        does not read dx, and a layer may return None for it."""
+        """Returns (dx, param_grads) from the cache of a train-mode forward
+        (an eval-mode pass is never backpropagated). With ``need_dx`` false
+        the caller does not read dx, and a layer may return None for it."""
         raise NotImplementedError
 
 
 class Dense(Layer):
     kind = "dense"
 
-    def __init__(self, name, in_features, units, rng=None):
+    def __init__(self, name, in_features, units, rng):
         super().__init__(name)
         self.in_features, self.units = in_features, units
-        scale = np.sqrt(2.0 / in_features)
-        w = rng.normal((in_features, units)) * scale if rng is not None else \
-            np.zeros((in_features, units), dtype=np.float32)
+        w = rng.normal((in_features, units)) * np.sqrt(2.0 / in_features)
         self.params = {"w": w.astype(np.float32), "b": np.zeros(units, dtype=np.float32)}
 
     def out_shape(self, in_shape):
@@ -72,16 +71,14 @@ class Conv(Layer):
     kind = "conv"
 
     def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0,
-                 groups=1, rng=None):
+                 groups=1, *, rng):
         super().__init__(name)
         self.in_channels, self.out_channels = in_channels, out_channels
         self.kernel, self.stride, self.pad, self.groups = kernel, stride, pad, groups
         c_g = in_channels // groups
         fan_in = c_g * kernel * kernel
         shape = (out_channels, c_g, kernel, kernel)
-        w = rng.normal(shape) * np.sqrt(2.0 / fan_in) if rng is not None else \
-            np.zeros(shape, dtype=np.float32)
-        self.params = {"w": w.astype(np.float32)}
+        self.params = {"w": (rng.normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)}
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -108,7 +105,7 @@ class Conv(Layer):
 class DwConv(Conv):
     kind = "dwconv"
 
-    def __init__(self, name, channels, kernel, stride=1, pad=0, rng=None):
+    def __init__(self, name, channels, kernel, stride=1, pad=0, *, rng):
         super().__init__(name, channels, channels, kernel, stride, pad,
                          groups=channels, rng=rng)
 
@@ -147,7 +144,8 @@ class Brn(Layer):
     Train mode normalizes with batch moments corrected by r, d clipped
     against the moving moments, and moves the moving moments; eval mode
     uses the moving moments and leaves them as they are. r and d are
-    constants in backward.
+    constants in backward, which takes a train-mode pass's cache only:
+    eval mode returns no cache, as the network never backpropagates it.
 
     Both modes fold the layer into one per-channel scale and shift over
     a C-ordered float64 copy of x, so a pass makes two channel sums
@@ -156,8 +154,7 @@ class Brn(Layer):
     b = gamma*d + beta, and its backward reads S1 = sum(dy) and
     S2 = sum(dy*cen): dbeta = S1, dgamma = r/sigma_b*S2 + d*S1 and
     dx = a*dy - a*S1/m - cen*(a*S2/(m*sigma_b^2)). Eval mode is
-    y = x*a + b, a = gamma/sigma_mov, b = beta - mu_mov*a; its cache keeps
-    x, and backward reads the moving moments current at backward time.
+    y = x*a + b, a = gamma/sigma_mov, b = beta - mu_mov*a.
     r and d are clipped with ``minimum(maximum(.))``, which equals
     ``clip`` except for the sign of a zero d when ``d_max`` is 0.
     """
@@ -191,7 +188,7 @@ class Brn(Layer):
             a = gamma / self.sigma_mov
             v *= a[:, None]
             v += (beta - self.mu_mov * a)[:, None]
-            return v.reshape(x.shape).astype(np.float32), ("moving", x)
+            return v.reshape(x.shape).astype(np.float32), None
         m = v.shape[0] * v.shape[2]
         mu_b = _csum(v) / m
         v -= mu_b[:, None]
@@ -203,26 +200,18 @@ class Brn(Layer):
         self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
         y = v * (gamma * r / sigma_b)[:, None]
         y += (gamma * d + beta)[:, None]
-        return y.reshape(x.shape).astype(np.float32), ("batch", v, sigma_b, r, d)
+        return y.reshape(x.shape).astype(np.float32), (v, sigma_b, r, d)
 
     def backward(self, dy, cache, need_dx=True):
-        gamma = self.params["gamma"].astype(np.float64)
+        cen, sigma_b, r, d = cache
         g = _planes(dy)
-        s1 = _csum(g)
-        if cache[0] == "batch":
-            _, cen, sigma_b, r, d = cache
-            s2 = _csum(g, cen)
-            dgamma = r / sigma_b * s2 + d * s1
-            m = g.shape[0] * g.shape[2]
-            a = gamma * r / sigma_b
-            g *= a[:, None]
-            g -= (a * s1 / m)[:, None]
-            g -= cen * (a * s2 / (m * sigma_b ** 2))[:, None]
-        else:
-            cen = _planes(cache[1])
-            cen -= self.mu_mov[:, None]
-            dgamma = _csum(g, cen) / self.sigma_mov
-            g *= (gamma / self.sigma_mov)[:, None]
+        s1, s2 = _csum(g), _csum(g, cen)
+        dgamma = r / sigma_b * s2 + d * s1
+        m = g.shape[0] * g.shape[2]
+        a = self.params["gamma"].astype(np.float64) * r / sigma_b
+        g *= a[:, None]
+        g -= (a * s1 / m)[:, None]
+        g -= cen * (a * s2 / (m * sigma_b ** 2))[:, None]
         return g.reshape(dy.shape).astype(np.float32), {"gamma": dgamma.astype(np.float32),
                                                          "beta": s1.astype(np.float32)}
 

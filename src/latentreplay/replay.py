@@ -72,12 +72,11 @@ class ReplayMemory:
             raise StateError("replay memory exceeded capacity")  # pragma: no cover
         return h, replace_n
 
-    def sample(self, k: int, rng: SeededRng | None = None, rows: int | None = None):
-        """k item indices, uniform without replacement (with-replacement
-        fallback, signalled by one warning per call, when k exceeds the
-        memory). With ``rows``, that many consecutive draws as one
-        ``[rows, k]`` array."""
-        rng = rng or self.rng
+    def sample(self, k: int, rng: SeededRng, rows: int | None = None):
+        """k item indices drawn from ``rng``, uniform without replacement
+        (with-replacement fallback, signalled by one warning per call, when
+        k exceeds the memory). With ``rows``, that many consecutive draws as
+        one ``[rows, k]`` array."""
         replace = k > len(self)
         if replace:
             warnings.warn("minibatch larger than memory; sampling with replacement")
@@ -86,10 +85,6 @@ class ReplayMemory:
 
     def stacked(self, indices) -> tuple[np.ndarray, np.ndarray]:
         return self.payloads[indices], self.labels[indices]
-
-    def occupancy_by_origin(self) -> dict[int, int]:
-        origins, counts = np.unique(self.origins, return_counts=True)
-        return dict(zip(origins.tolist(), counts.tolist()))
 
 
 def _keep_then_append(stored: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
@@ -114,8 +109,6 @@ def l1_activation_penalty(acts: np.ndarray, alpha: float):
     """alpha * sum |a| and its (sub)gradient alpha * sign(a)."""
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
-    if alpha == 0.0:
-        return 0.0, np.zeros_like(acts, dtype=np.float32)
     penalty = float(alpha * np.abs(acts.astype(np.float64)).sum())
     return penalty, (alpha * np.sign(acts)).astype(np.float32)
 

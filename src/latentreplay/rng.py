@@ -42,18 +42,15 @@ class SeededRng:
         self._counter += n
         return _splitmix64(np.uint64(self.seed) + idx * _GOLDEN)
 
-    def uniform(self, shape=None) -> np.ndarray | float:
+    def uniform(self, shape) -> np.ndarray:
         """Uniform draws in [0, 1) (float64; 53 random bits each)."""
-        n = 1 if shape is None else int(np.prod(shape))
+        n = int(np.prod(shape))
         u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        if shape is None:
-            return float(u[0])
         return u.reshape(shape)
 
-    def normal(self, shape=None, dtype=np.float32) -> np.ndarray:
+    def normal(self, shape, dtype=np.float32) -> np.ndarray:
         """Standard normal draws via Box-Muller."""
-        z = self.normal_rows(1, () if shape is None else shape, dtype)
-        return z[0] if shape is None else z.reshape(shape)
+        return self.normal_rows(1, shape, dtype).reshape(shape)
 
     def normal_rows(self, k: int, shape, dtype=np.float32) -> np.ndarray:
         """``k`` consecutive ``normal(shape)`` draws as one ``[k, *shape]``

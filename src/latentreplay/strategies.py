@@ -187,9 +187,6 @@ class DsldaState:
         bias = -0.5 * (w * self.mu).sum(axis=1)   # -1/2 mu . Lambda mu
         return w, bias
 
-    def predict(self, feature: np.ndarray) -> int:
-        return int(self.predict_batch(np.asarray(feature, dtype=np.float64)[None])[0])
-
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         w, bias = self._discriminants()
         feats = np.asarray(features, dtype=np.float64).reshape(len(features), -1)
@@ -431,7 +428,7 @@ class ContinualTrainer:
                            loss_trace=trace, train_ms=ms)
 
     def _replay_draws(self, k: int, steps: int):
-        """Replay indices for ``steps`` consecutive ``rm.sample(k)`` calls,
+        """Replay indices for ``steps`` consecutive ``rm.sample(k, self.rng)`` calls,
         one row per step, drawn in blocks of at most ``_DRAW_KEYS`` keys."""
         # a row reads |rm| keys, or k when it samples with replacement
         block = max(1, _DRAW_KEYS // max(len(self.rm), k))

@@ -242,9 +242,7 @@ def test_criterion_6_replay_memory_properties():
             assert len(rm) <= capacity
             assert (replaced == 0) == (i == 1)          # R_replace empty iff i=1
             assert added == capacity // i               # h unclamped here
-        occ = rm.occupancy_by_origin()
-        for i in range(n_batches):
-            per_origin[i] += occ.get(i + 1, 0)
+        per_origin += np.bincount(rm.origins, minlength=n_batches + 1)[1:]
     per_origin /= runs
     target = capacity / n_batches
     assert np.all(per_origin >= 0.8 * target)

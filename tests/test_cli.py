@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -163,6 +164,38 @@ def test_run_two_strategies_two_files(tmp_path):
     assert not (out / "metrics.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["strategies"]) == {"naive", "cwr"}
+
+
+@pytest.mark.parametrize("names", [("ar1*", "ar1_"), ("naive", "naive")],
+                         ids=["one-slug", "one-name"])
+def test_run_rejects_names_that_share_a_metrics_file(tmp_path, capsys, names):
+    """Each block writes metrics_<slug>_s<seed>.csv; two names with one
+    slug would write one file, so the config is rejected before anything
+    is written."""
+    cfg = run_config(tmp_path, strategies=[
+        {"name": n, "strategy": "naive", "epochs": 1, "mb": 16} for n in names])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: strategy names")
+    assert not out.exists()
+
+
+def test_readme_reference_config_passes_every_check():
+    """The README runs the bundled reference config: it loads, and every
+    block builds its network and passes its checks, without training."""
+    path = os.path.join(os.path.dirname(cli.__file__), "fixtures", "tinynic_reference.json")
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        assert "src/latentreplay/fixtures/tinynic_reference.json" in fh.read()
+    with open(path) as fh:
+        cfg = cli.ExperimentConfig(json.load(fh), base_dir=os.path.dirname(path))
+    scenario = cfg.load_scenario()
+    assert cfg.strategies and cfg.seeds
+    for _, tap, strat in cfg.strategies:
+        for seed in cfg.seeds:
+            net = cli._prepare(cfg, scenario, tap, strat, seed)
+            assert net.class_count == scenario.classes
 
 
 def test_run_determinism_byte_identical(tmp_path):

@@ -42,7 +42,7 @@ def layer_grads(layer, x, dy_seed=0, mode="train"):
 
 
 def test_dense_forward_manual():
-    layer = Dense("fc", 3, 2)
+    layer = Dense("fc", 3, 2, rng=SeededRng(20))
     layer.params["w"] = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.float32)
     layer.params["b"] = np.array([0.5, -0.5], dtype=np.float32)
     y, _ = layer.forward(np.array([[1, 1, 1]], dtype=np.float32), "eval")
@@ -172,8 +172,8 @@ def test_brn_reduces_to_batchnorm_when_moments_match():
     layer.mu_mov = mu.copy()
     layer.sigma_mov = sigma.copy()
     y, cache = layer.forward(x, "train")
-    assert np.allclose(cache[3], 1.0)  # r
-    assert np.allclose(cache[4], 0.0, atol=1e-12)  # d
+    assert np.allclose(cache[2], 1.0)  # r
+    assert np.allclose(cache[3], 0.0, atol=1e-12)  # d
     plain_bn = (xf - mu) / sigma
     assert np.abs(y - plain_bn).max() < 1e-6
 
@@ -183,7 +183,7 @@ def test_brn_r_clips_at_r_max():
     x = rng.normal((256, 2)) * 2.0  # batch sigma ~ 2x moving sigma
     layer = Brn("b", 2)
     y, cache = layer.forward(x, "train")
-    assert np.allclose(cache[3], 1.25)
+    assert np.allclose(cache[2], 1.25)
 
 
 def test_brn_d_clips_at_d_max():
@@ -191,7 +191,7 @@ def test_brn_d_clips_at_d_max():
     x = rng.normal((256, 2)) + 5.0
     layer = Brn("b", 2)
     _, cache = layer.forward(x, "train")
-    assert np.allclose(cache[4], 0.5)
+    assert np.allclose(cache[3], 0.5)
 
 
 def test_brn_train_mode_batch_moments_property():
@@ -202,7 +202,7 @@ def test_brn_train_mode_batch_moments_property():
     layer.params["gamma"] = np.array([1.0, 2.0, 0.5, 1.5], dtype=np.float32)
     layer.params["beta"] = np.array([0.0, 1.0, -1.0, 0.25], dtype=np.float32)
     y, cache = layer.forward(x, "train")
-    _, _, _, r, d = cache
+    _, _, r, d = cache
     gamma = layer.params["gamma"].astype(np.float64)
     beta = layer.params["beta"].astype(np.float64)
     assert np.abs(y.mean(axis=0) - (d * gamma + beta)).max() < 1e-3
@@ -230,8 +230,12 @@ def test_brn_eval_mode_uses_moving_moments():
     layer.params["gamma"] = np.array([1.5, 1.0], dtype=np.float32)
     layer.params["beta"] = np.array([0.0, 0.5], dtype=np.float32)
     x = np.array([[3.0, 0.0]], dtype=np.float32)
-    y, _ = layer.forward(x, "eval")
+    y, cache = layer.forward(x, "eval")
     assert np.allclose(y, [[1.5 * (3 - 1) / 2, 1.0 * (0 + 1) / 0.5 + 0.5]])
+    # an eval-mode pass is never backpropagated, and moves no moment
+    assert cache is None
+    assert np.array_equal(layer.mu_mov, [1.0, -1.0])
+    assert np.array_equal(layer.sigma_mov, [2.0, 0.5])
 
 
 def test_brn_gradients_match_finite_differences(rng):
@@ -257,23 +261,6 @@ def test_brn_gradients_match_finite_differences(rng):
                       label="brn beta")
 
 
-def test_brn_eval_gradient_is_affine(rng):
-    layer = Brn("b", 2)
-    layer.mu_mov = np.array([0.5, -0.5])
-    layer.sigma_mov = np.array([2.0, 4.0])
-    x = SeededRng(39).normal((6, 2))
-    dx, grads = layer_grads(layer, x, mode="eval")
-
-    def loss():
-        y, _ = layer.forward(x, "eval")
-        dy = SeededRng(0).normal(y.shape).astype(np.float64)
-        return float((y.astype(np.float64) * dy).sum())
-
-    check_grad_tensor(loss, x, dx, rng, label="brn eval x")
-    check_grad_tensor(loss, layer.params["gamma"], grads["gamma"], rng,
-                      label="brn eval gamma")
-
-
 def test_brn_4d_channel_axis():
     rng = SeededRng(40)
     x = rng.normal((4, 3, 5, 5))
@@ -290,7 +277,7 @@ def test_brn_4d_channel_axis():
 class BrnReference(Brn):
     """The folded BRN formulas written out on fresh float64 temporaries:
     per-channel sums are ``einsum`` over [n, c, h*w] planes, r and d are
-    ``clip``ped, and the batch cache keeps the centred input. Bitwise
+    ``clip``ped, and the train cache keeps the centred input. Bitwise
     reference for the layer."""
 
     def forward(self, x, mode):
@@ -300,7 +287,7 @@ class BrnReference(Brn):
         if mode != TRAIN:
             a = gamma / self.sigma_mov
             y = xf * a[:, None] + (beta - self.mu_mov * a)[:, None]
-            return y.reshape(x.shape).astype(np.float32), ("moving", x)
+            return y.reshape(x.shape).astype(np.float32), None
         m = xf.shape[0] * xf.shape[2]
         mu_b = np.einsum("ncs->c", xf) / m
         cen = xf - mu_b[:, None]
@@ -310,25 +297,19 @@ class BrnReference(Brn):
         y = cen * (gamma * r / sigma_b)[:, None] + (gamma * d + beta)[:, None]
         self.mu_mov = self.avg_rate * self.mu_mov + (1 - self.avg_rate) * mu_b
         self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
-        return y.reshape(x.shape).astype(np.float32), ("batch", cen, sigma_b, r, d)
+        return y.reshape(x.shape).astype(np.float32), (cen, sigma_b, r, d)
 
     def backward(self, dy, cache, need_dx=True):
+        cen, sigma_b, r, d = cache
         gamma = self.params["gamma"].astype(np.float64)
         dyf = dy.astype(np.float64).reshape(len(dy), dy.shape[1], -1)
         s1 = np.einsum("ncs->c", dyf)
-        if cache[0] == "batch":
-            _, cen, sigma_b, r, d = cache
-            m = dyf.shape[0] * dyf.shape[2]
-            s2 = np.einsum("ncs,ncs->c", dyf, cen)
-            a = gamma * r / sigma_b
-            dgamma = r / sigma_b * s2 + d * s1
-            dx = (dyf * a[:, None] - (a * s1 / m)[:, None]
-                  - cen * (a * s2 / (m * sigma_b ** 2))[:, None])
-        else:
-            x = cache[1]
-            cen = x.astype(np.float64).reshape(len(x), x.shape[1], -1) - self.mu_mov[:, None]
-            dgamma = np.einsum("ncs,ncs->c", dyf, cen) / self.sigma_mov
-            dx = dyf * (gamma / self.sigma_mov)[:, None]
+        m = dyf.shape[0] * dyf.shape[2]
+        s2 = np.einsum("ncs,ncs->c", dyf, cen)
+        a = gamma * r / sigma_b
+        dgamma = r / sigma_b * s2 + d * s1
+        dx = (dyf * a[:, None] - (a * s1 / m)[:, None]
+              - cen * (a * s2 / (m * sigma_b ** 2))[:, None])
         return dx.reshape(dy.shape).astype(np.float32), {"gamma": dgamma.astype(np.float32),
                                                          "beta": s1.astype(np.float32)}
 
@@ -358,31 +339,25 @@ class BrnTextbook(Brn):
             y = gamma * (xhat * self._bview(r, x.ndim) + self._bview(d, x.ndim)) + beta
             self.mu_mov = self.avg_rate * self.mu_mov + (1 - self.avg_rate) * mu_b
             self.sigma_mov = self.avg_rate * self.sigma_mov + (1 - self.avg_rate) * sigma_b
-            return y.astype(np.float32), ("batch", xhat, sigma_b, r, d)
+            return y.astype(np.float32), (xhat, sigma_b, r, d)
         xf = x.astype(np.float64)
         xhat = (xf - self._bview(self.mu_mov, x.ndim)) / self._bview(self.sigma_mov, x.ndim)
         y = gamma * xhat + beta
-        return y.astype(np.float32), ("moving", xhat)
+        return y.astype(np.float32), None
 
     def backward(self, dy, cache, need_dx=True):
         gamma = self._bview(self.params["gamma"].astype(np.float64), dy.ndim)
         axes = (0, 2, 3) if dy.ndim == 4 else (0,)
         dyf = dy.astype(np.float64)
-        if cache[0] == "batch":
-            _, xhat, sigma_b, r, d = cache
-            rb, db = self._bview(r, dy.ndim), self._bview(d, dy.ndim)
-            dgamma = (dyf * (xhat * rb + db)).sum(axis=axes)
-            dbeta = dyf.sum(axis=axes)
-            dxhat = dyf * gamma * rb
-            m_d = dxhat.mean(axis=axes)
-            m_dx = (dxhat * xhat).mean(axis=axes)
-            dx = (dxhat - self._bview(m_d, dy.ndim)
-                  - xhat * self._bview(m_dx, dy.ndim)) / self._bview(sigma_b, dy.ndim)
-        else:
-            _, xhat = cache
-            dgamma = (dyf * xhat).sum(axis=axes)
-            dbeta = dyf.sum(axis=axes)
-            dx = dyf * gamma / self._bview(self.sigma_mov, dy.ndim)
+        xhat, sigma_b, r, d = cache
+        rb, db = self._bview(r, dy.ndim), self._bview(d, dy.ndim)
+        dgamma = (dyf * (xhat * rb + db)).sum(axis=axes)
+        dbeta = dyf.sum(axis=axes)
+        dxhat = dyf * gamma * rb
+        m_d = dxhat.mean(axis=axes)
+        m_dx = (dxhat * xhat).mean(axis=axes)
+        dx = (dxhat - self._bview(m_d, dy.ndim)
+              - xhat * self._bview(m_dx, dy.ndim)) / self._bview(sigma_b, dy.ndim)
         return dx.astype(np.float32), {"gamma": dgamma.astype(np.float32),
                                        "beta": dbeta.astype(np.float32)}
 
@@ -403,13 +378,13 @@ def same_bits(a, b):
 
 
 def brn_two_steps(cls, shape, n, mode, zero_gamma=False):
-    """Two forwards of a seeded ``cls`` layer, then backward from each
-    cache: the first cache feeds backward after the second forward has
-    moved the moments (train mode). Moving moments are wide enough that r
-    and d clip on some channels and not on others; ``zero_gamma`` sets
-    gamma to 0 on channel 0. Returns (outputs, batch caches): y of each
-    forward, dx, dgamma and dbeta of each backward, then the moving
-    moments."""
+    """Two forwards of a seeded ``cls`` layer, then, in train mode,
+    backward from each cache: the first cache feeds backward after the
+    second forward has moved the moments. Eval mode returns no cache and
+    is not backpropagated. Moving moments are wide enough that r and d
+    clip on some channels and not on others; ``zero_gamma`` sets gamma to
+    0 on channel 0. Returns (outputs, train caches): y of each forward,
+    dx, dgamma and dbeta of each backward, then the moving moments."""
     c = shape[0]
     r = SeededRng(1000 * n + int(np.prod(shape)))
     gamma = (0.5 + r.uniform((c,))).astype(np.float32)
@@ -424,10 +399,13 @@ def brn_two_steps(cls, shape, n, mode, zero_gamma=False):
     layer.mu_mov, layer.sigma_mov = mu, sigma
     fwd = [layer.forward(x, mode) for x in xs]
     out = [y for y, _ in fwd]
+    if mode != TRAIN:
+        assert all(cache is None for _, cache in fwd)
+        return out + [layer.mu_mov, layer.sigma_mov], []
     for (_, cache), dy in zip(fwd, dys):
         dx, g = layer.backward(dy, cache)
         out += [dx, g["gamma"], g["beta"]]
-    caches = [a for _, cache in fwd if cache[0] == "batch" for a in cache[1:]]
+    caches = [a for _, cache in fwd for a in cache]
     return out + [layer.mu_mov, layer.sigma_mov], caches
 
 
@@ -441,7 +419,7 @@ def test_brn_matches_reference_bitwise(shape, n, mode):
     y."""
     new, ref = (sum(brn_two_steps(cls, shape, n, mode), [])
                 for cls in (Brn, BrnReference))
-    assert len(new) == len(ref) == (18 if mode == "train" else 10)
+    assert len(new) == len(ref) == (18 if mode == "train" else 4)
     for i, (a, b) in enumerate(zip(new, ref)):
         assert same_bits(a, b), f"output {i} differs"
 
@@ -468,7 +446,8 @@ def test_brn_matches_textbook_within_rounding(shape, n, mode):
 def test_brn_input_layout_does_not_change_bits(shape, mode):
     """Brn works on C-ordered float64 copies of x and dy, so a
     Fortran-ordered or a transposed-view x and dy give the bits of their
-    C-contiguous copies: y, dx, dgamma, dbeta and the moving moments."""
+    C-contiguous copies: y, the moving moments and, in train mode, dx,
+    dgamma and dbeta."""
     c = shape[0]
     r = SeededRng(2000 + int(np.prod(shape)))
     mu, sigma = 0.5 * r.normal((c,)).astype(np.float64), 0.4 + 3.0 * r.uniform((c,))
@@ -479,6 +458,8 @@ def test_brn_input_layout_does_not_change_bits(shape, mode):
         layer = Brn("b", c, avg_rate=0.9)
         layer.mu_mov, layer.sigma_mov = mu.copy(), sigma.copy()
         y, cache = layer.forward(x, mode)
+        if mode != TRAIN:
+            return [y, layer.mu_mov, layer.sigma_mov]
         dx, g = layer.backward(dy, cache)
         return [y, dx, g["gamma"], g["beta"], layer.mu_mov, layer.sigma_mov]
 

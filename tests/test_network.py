@@ -16,7 +16,7 @@ from conftest import brn_moment_bits, check_grad_tensor
 
 
 def identity_dense_net(n=3):
-    layer = Dense("fc", n, n)
+    layer = Dense("fc", n, n, rng=SeededRng(0))
     layer.params["w"] = np.eye(n, dtype=np.float32)
     net = Network([layer], input_shape=(n,), tap="fc")
     return net
@@ -405,7 +405,7 @@ def test_backward_skips_network_input_grad_with_same_param_grads(make):
 
 
 def test_sgd_step_definition_and_freeze():
-    layer = Dense("w1", 1, 1)
+    layer = Dense("w1", 1, 1, rng=SeededRng(0))
     layer.params["w"] = np.array([[1.0]], dtype=np.float32)
     net = Network([layer], input_shape=(1,), tap="w1")
     net.lr_mult["w1"] = 0.1
@@ -526,12 +526,14 @@ def test_every_layer_backward_matches_finite_differences(rng):
 
 def test_duplicate_layer_names_rejected():
     with pytest.raises(ConfigError):
-        Network([Dense("a", 2, 2), Dense("a", 2, 2)], input_shape=(2,), tap="a")
+        r = SeededRng(0)
+        Network([Dense("a", 2, 2, rng=r), Dense("a", 2, 2, rng=r)], input_shape=(2,),
+                tap="a")
 
 
 def test_unknown_tap_rejected():
     with pytest.raises(ConfigError):
-        Network([Dense("a", 2, 2)], input_shape=(2,), tap="zzz")
+        Network([Dense("a", 2, 2, rng=SeededRng(0))], input_shape=(2,), tap="zzz")
 
 
 @pytest.mark.parametrize("avg_rate", ["x", 1.5, -0.1, float("nan")])

@@ -467,7 +467,9 @@ def gaussian_two_class(n_per, dim=8, seed=0, sep=3.0):
 
 
 def batch_lda_oracle(x, y, shrink):
-    """Closed-form batch LDA with pooled (MLE) covariance."""
+    """Closed-form batch LDA with pooled (MLE) covariance, regularised as
+    (1 - shrink) * sigma + shrink * I. Returns the class means, sigma and
+    the discriminants' weights [classes, dim] and biases."""
     classes = np.unique(y)
     mu = np.stack([x[y == c].mean(axis=0) for c in classes])
     scatter = np.zeros((x.shape[1], x.shape[1]))
@@ -478,10 +480,7 @@ def batch_lda_oracle(x, y, shrink):
     lam = np.linalg.inv((1 - shrink) * sigma + shrink * np.eye(x.shape[1]))
     w = mu @ lam.T
     bias = -0.5 * (w * mu).sum(axis=1)
-
-    def predict(feats):
-        return (feats @ w.T + bias).argmax(axis=1)
-    return mu, sigma, predict
+    return mu, sigma, w, bias
 
 
 def test_dslda_first_sample_sets_mean():
@@ -504,7 +503,7 @@ def test_dslda_streaming_matches_batch_statistics():
     st = DsldaState(8, classes=2)
     for f, label in zip(x, y):
         st.update(f, int(label))
-    mu, sigma, _ = batch_lda_oracle(x, y, 1e-4)
+    mu, sigma, _, _ = batch_lda_oracle(x, y, 1e-4)
     assert np.abs(st.mu[:2] - mu).max() < 1e-4
     assert np.abs(st.sigma() - sigma).max() < 1e-4
 
@@ -524,7 +523,7 @@ def test_dslda_statistics_are_order_invariant():
 def test_dslda_single_class_predicts_it():
     st = DsldaState(4, classes=5)
     st.update(np.array([1.0, -1.0, 0.5, 2.0]), 3)
-    assert st.predict(np.array([100.0, 100.0, 100.0, 100.0])) == 3
+    assert st.predict_batch(np.array([[100.0, 100.0, 100.0, 100.0]])).tolist() == [3]
 
 
 def test_dslda_full_shrinkage_is_nearest_mean():
@@ -534,19 +533,26 @@ def test_dslda_full_shrinkage_is_nearest_mean():
     # score_c = mu_c.x - 0.5 |mu_c|^2 with Lambda = I
     probe = np.array([0.9, 0.2, 0.0])
     scores = probe @ st.mu.T - 0.5 * (st.mu ** 2).sum(axis=1)
-    assert st.predict(probe) == int(np.argmax(scores)) == 0
+    assert st.predict_batch(probe[None]).tolist() == [int(np.argmax(scores))] == [0]
 
 
-def test_dslda_agrees_with_batch_lda_oracle():
+@pytest.mark.parametrize("shrink", [1e-4, 0.5])
+def test_dslda_agrees_with_batch_lda_oracle(shrink):
+    """The streamed discriminants are the batch oracle's to rounding, so
+    the shrinkage mix is checked, not only the decisions it leads to: at
+    shrink 1e-4, sigma + shrink * I moves them by about 1e-4 relative."""
     x_all, y_all = gaussian_two_class(225, seed=11)
     x, y = x_all[:200], y_all[:200]
     x_test, y_test = x_all[200:], y_all[200:]
-    st = DsldaState(8, classes=2, shrink=1e-4)
+    st = DsldaState(8, classes=2, shrink=shrink)
     for f, label in zip(x, y):
         st.update(f, int(label))
-    _, _, oracle = batch_lda_oracle(x, y, 1e-4)
-    agree = (st.predict_batch(x_test) == oracle(x_test)).mean()
-    assert agree >= 0.99
+    _, _, w_ref, bias_ref = batch_lda_oracle(x, y, shrink)
+    w, bias = st._discriminants()
+    np.testing.assert_allclose(w, w_ref, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(bias, bias_ref, rtol=1e-10, atol=1e-12)
+    oracle = (x_test @ w_ref.T + bias_ref).argmax(axis=1)
+    assert (st.predict_batch(x_test) == oracle).mean() >= 0.99
     assert (st.predict_batch(x_test) == y_test).mean() > 0.9
 
 
@@ -634,6 +640,16 @@ def test_cwr_isolation_bitwise():
     net = build_tinynic_network(classes=8, seed=21, tap="pool")
     cfg = StrategyConfig(strategy="cwr*", replay_kind="latent", rm_capacity=40)
     trainer = ContinualTrainer(net, cfg, seed=6)
+    head = net.layer(net.head_name)
+    live_absent = []  # per batch, the live head's absent-class columns at consolidation
+    fuse = trainer.cwr.consolidate
+
+    def consolidate(layer, counts):
+        live_absent.append((layer.params["w"][:, counts == 0].copy(),
+                            layer.params["b"][counts == 0].copy()))
+        fuse(layer, counts)
+
+    trainer.cwr.consolidate = consolidate
     r = SeededRng(22)
     for i in range(5):
         classes = sorted(set(r.randint(0, 8, 3).tolist()))
@@ -650,6 +666,11 @@ def test_cwr_isolation_bitwise():
         for c in absent:
             assert np.array_equal(trainer.cwr.cw_w[:, c], before_w[:, c])
             assert trainer.cwr.cw_b[c] == before_b[c]
+        # preinit zeroes them and the gradient mask keeps them at 0 through
+        # every step, so the live head never trains an absent class
+        live_w, live_b = live_absent[i]
+        assert live_w.shape == (head.in_features, len(absent))
+        assert not live_w.any() and not live_b.any()
 
 
 def bits(arr):
