@@ -56,7 +56,7 @@ steps = 0
 for epoch in range(8):
     for it in range(5):
         fresh_idx = rng.choice(len(cached), n_nat)
-        rep_idx = rm.sample(n_rep, rng)
+        rep_idx = rm.sample(n_rep, rng, rows=1)[0]
         pay, y_rep = rm.stacked(rep_idx)
         lat = np.concatenate([cached[fresh_idx], pay])
         y = np.concatenate([np.full(n_nat, 9), y_rep])

@@ -66,7 +66,8 @@ class Dense(Layer):
 
 
 class Conv(Layer):
-    """Grouped 2-D convolution; groups == in_channels gives kind 'dwconv'."""
+    """Grouped 2-D convolution, kind 'conv' whatever its groups; the
+    depthwise ``DwConv`` (groups == in_channels) is kind 'dwconv'."""
 
     kind = "conv"
 
@@ -175,7 +176,7 @@ class Brn(Layer):
         self.sigma_mov = np.ones(channels, dtype=np.float64)
 
     def out_shape(self, in_shape):
-        c = in_shape[0] if len(in_shape) == 3 else in_shape[-1]
+        c = in_shape[0]  # forward normalizes axis 1 of [n, *in_shape]
         if c != self.channels:
             raise ShapeError(f"{self.name}: expected {self.channels} channels, got {c}")
         return in_shape

@@ -72,16 +72,15 @@ class ReplayMemory:
             raise StateError("replay memory exceeded capacity")  # pragma: no cover
         return h, replace_n
 
-    def sample(self, k: int, rng: SeededRng, rows: int | None = None):
-        """k item indices drawn from ``rng``, uniform without replacement
+    def sample(self, k: int, rng: SeededRng, rows: int):
+        """``rows`` consecutive draws of k item indices from ``rng`` as one
+        ``[rows, k]`` array, each row uniform without replacement
         (with-replacement fallback, signalled by one warning per call, when
-        k exceeds the memory). With ``rows``, that many consecutive draws as
-        one ``[rows, k]`` array."""
+        k exceeds the memory)."""
         replace = k > len(self)
         if replace:
             warnings.warn("minibatch larger than memory; sampling with replacement")
-        idx = rng.choice_rows(1 if rows is None else rows, len(self), k, replace)
-        return idx[0] if rows is None else idx
+        return rng.choice_rows(rows, len(self), k, replace)
 
     def stacked(self, indices) -> tuple[np.ndarray, np.ndarray]:
         return self.payloads[indices], self.labels[indices]
@@ -93,13 +92,13 @@ def _keep_then_append(stored: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
     return np.concatenate([stored[keep], rows]) if len(stored) else rows
 
 
-def compose_minibatch(rm: ReplayMemory | None, batch_size: int, mb: int):
+def compose_minibatch(rm: ReplayMemory, batch_size: int, mb: int):
     """Split a mini-batch of size ``mb`` between native and replay rows:
-    n_native = round(mb * B / (B + |rm|)), or min(mb, B) without a memory
-    or with an empty one. Draws nothing. Returns (n_native, n_replay)."""
+    n_native = round(mb * B / (B + |rm|)), or min(mb, B) with an empty
+    memory. Draws nothing. Returns (n_native, n_replay)."""
     if mb < 1:
         raise ConfigError("mini-batch size must be >= 1")
-    if rm is None or len(rm) == 0:
+    if len(rm) == 0:
         return min(mb, batch_size), 0
     n_native = round(mb * batch_size / (batch_size + len(rm)))
     return n_native, mb - n_native

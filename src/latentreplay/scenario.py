@@ -153,7 +153,6 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
                           f"patterns are {scenario.test_x.shape[1:]}")
     require_int("eval_every", eval_every, 1)
     trainer = ContinualTrainer(net, strategy_cfg, seed)
-    rm = trainer.rm
     rows = []
     n = len(scenario.batches)
     for k, batch in enumerate(scenario.batches, start=1):
@@ -164,7 +163,7 @@ def run_protocol(net: Network, strategy_cfg: StrategyConfig, scenario: NicScenar
         rows.append(MetricsRow(
             batch_index=k, test_accuracy=acc,
             train_ms=report.train_ms if record_timing else 0.0,
-            rm_items=len(rm) if rm is not None else 0))
+            rm_items=len(trainer.rm)))
     return rows
 
 

@@ -5,6 +5,7 @@ baseline) is one row of ``_PRESETS``: its head, whether Synaptic
 Intelligence protects the weights below the head, and whether only the
 head trains after batch 1. Any SGD strategy can be combined with a native
 or latent rehearsal memory; a latent memory pins the lower net from batch 2.
+A run without replay holds an empty memory of capacity 0.
 SI guards only the below-head layers that can train after batch 1: those
 above the tap when the lower net is pinned, else all of them.
 
@@ -162,7 +163,6 @@ class DsldaState:
         self.mu = np.zeros((classes, dim), dtype=np.float64)
         self.n_c = np.zeros(classes, dtype=np.float64)
         self.scatter = np.zeros((dim, dim), dtype=np.float64)
-        self.count = 0
 
     def update(self, feature: np.ndarray, label: int) -> None:
         f = np.asarray(feature, dtype=np.float64).ravel()
@@ -173,13 +173,12 @@ class DsldaState:
         self.n_c[j] += 1
         self.mu[j] += (f - mu_pre) / self.n_c[j]
         self.scatter += np.outer(f - mu_pre, f - self.mu[j])
-        self.count += 1
 
     def sigma(self) -> np.ndarray:
-        return self.scatter / max(self.count, 1)
+        return self.scatter / max(self.n_c.sum(), 1)
 
     def _discriminants(self):
-        if self.count == 0:
+        if not self.n_c.any():
             raise StateError("no samples observed yet")
         s = self.shrink
         lam = np.linalg.inv((1.0 - s) * self.sigma() + s * np.eye(self.dim))
@@ -256,8 +255,7 @@ class ContinualTrainer:
         self.cfg = cfg
         self.rng = SeededRng(seed).spawn(0x5A)
         self.batch_count = 0
-        self.rm = (ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E))
-                   if cfg.replay_kind is not None else None)
+        self.rm = ReplayMemory(cfg.rm_capacity, SeededRng(seed).spawn(0x2E))
         # a latent memory's rows stay valid only while the lower net is pinned
         row = cfg.preset
         self.pin_lower = row.head_only or cfg.replay_kind == "latent"
@@ -279,8 +277,9 @@ class ContinualTrainer:
     def state(self) -> dict:
         """Everything the run carries from one batch to the next, and nothing
         else, as an ordered name -> array dict of the trainer's own arrays.
-        ``counters`` is the batch count and the trainer's RNG draws, then,
-        with a memory, its RNG draws and last batch index. Left out: SI's
+        ``counters`` is the batch count and the trainer's RNG draws, then the
+        memory's RNG draws and last batch index; a run without replay holds
+        an empty memory, so its ``rm.*`` arrays are empty. Left out: SI's
         ``_theta``, which consolidate sets from the snapshot that sets
         ``theta_ref``, so the two are equal between batches; ``net.lr_mult``,
         which ``_configure_batch`` rewrites at the start of each batch; and
@@ -294,11 +293,9 @@ class ContinualTrainer:
             out.update((f"{layer.name}.{k}", layer.params[k]) for k in sorted(layer.params))
             if isinstance(layer, Brn):
                 add(layer.name, layer, ("mu_mov", "sigma_mov"))
-        counters = [self.batch_count, self.rng._counter]
-        if self.rm is not None:
-            add("rm", self.rm, ("payloads", "labels", "origins"))
-            counters += [self.rm.rng._counter, self.rm._last_i]
-        out["counters"] = np.asarray(counters, dtype=np.int64)
+        add("rm", self.rm, ("payloads", "labels", "origins"))
+        out["counters"] = np.asarray([self.batch_count, self.rng._counter,
+                                      self.rm.rng._counter, self.rm._last_i], dtype=np.int64)
         if self.cwr is not None:
             add("cwr", self.cwr, ("cw_w", "cw_b", "past"))
         if self.si is not None:
@@ -306,7 +303,7 @@ class ContinualTrainer:
                 table = getattr(self.si, kind)
                 out.update((f"si.{kind}.{ln}.{pn}", table[(ln, pn)]) for ln, pn in self.si.keys)
         if self.dslda is not None:
-            add("dslda", self.dslda, ("mu", "n_c", "scatter", "count"))
+            add("dslda", self.dslda, ("mu", "n_c", "scatter"))
         return out
 
     # -- phases ----------------------------------------------------------
@@ -350,8 +347,7 @@ class ContinualTrainer:
         if self.cwr is not None:
             # the batch trained on is B_i u RM, so the double-memory head manages
             # the classes of the joint pool, not just the native session's
-            pool_counts = np.bincount(y if self.rm is None
-                                      else np.concatenate([y, self.rm.labels]),
+            pool_counts = np.bincount(np.concatenate([y, self.rm.labels]),
                                       minlength=net.class_count)
             self.cwr.preinit(net.layer(net.head_name), pool_counts)
             absent = pool_counts == 0
@@ -414,7 +410,7 @@ class ContinualTrainer:
             self.cwr.consolidate(net.layer(net.head_name), pool_counts)
             self.cwr.install(net.layer(net.head_name))
 
-        if self.rm is not None and self.rm.capacity > 0:
+        if self.rm.capacity:
             if taps is None and self.lower_fixed:  # batch 1 has trained a pinned lower net
                 taps = net.tap_activations(x)
             self.rm.update(x if taps is None else taps, y, i)
@@ -428,8 +424,8 @@ class ContinualTrainer:
                            loss_trace=trace, train_ms=ms)
 
     def _replay_draws(self, k: int, steps: int):
-        """Replay indices for ``steps`` consecutive ``rm.sample(k, self.rng)`` calls,
-        one row per step, drawn in blocks of at most ``_DRAW_KEYS`` keys."""
+        """Replay indices for ``steps`` consecutive draws of k items from
+        ``self.rng``, one row per step, in blocks of at most ``_DRAW_KEYS`` keys."""
         # a row reads |rm| keys, or k when it samples with replacement
         block = max(1, _DRAW_KEYS // max(len(self.rm), k))
         for lo in range(0, steps, block):

@@ -22,7 +22,13 @@ CONV_SHAPES = {
 
 
 def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+    """Equal dtype, shape and bits (so -0.0 differs from 0.0 and a NaN
+    equals the same NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    return np.array_equal(a.view(np.uint64 if a.dtype == np.float64 else np.uint32),
+                          b.view(np.uint64 if b.dtype == np.float64 else np.uint32))
 
 
 def brn_moment_bits(layers):

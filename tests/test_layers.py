@@ -369,14 +369,6 @@ BRN_SHAPES = sorted({_TINYNIC.out_shape_of(l.name) for l in _TINYNIC.layers
                      if isinstance(l, Brn)}) + [(32,)]
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if a.dtype != b.dtype or a.shape != b.shape:
-        return False
-    return np.array_equal(a.view(np.uint64 if a.dtype == np.float64 else np.uint32),
-                          b.view(np.uint64 if b.dtype == np.float64 else np.uint32))
-
-
 def brn_two_steps(cls, shape, n, mode, zero_gamma=False):
     """Two forwards of a seeded ``cls`` layer, then, in train mode,
     backward from each cache: the first cache feeds backward after the

@@ -536,6 +536,26 @@ def test_unknown_tap_rejected():
         Network([Dense("a", 2, 2, rng=SeededRng(0))], input_shape=(2,), tap="zzz")
 
 
+def test_brn_on_a_rank_2_input_normalizes_its_first_axis():
+    """A [c, length] input has c channels, the axis BRN's forward
+    normalizes; a spec starting with a BRN on [4, 6] builds and trains."""
+    net = Network.from_spec({
+        "input_shape": [4, 6], "tap": "b",
+        "layers": [{"name": "b", "kind": "brn"}, {"name": "flat", "kind": "flatten"},
+                   {"name": "fc", "kind": "dense", "units": 3}],
+    }, seed=1)
+    assert net.layer("b").channels == 4
+    x = SeededRng(2).normal((5, 4, 6))
+    logits, _ = net.forward(x)
+    _, dl = softmax_xent(logits, np.array([0, 1, 2, 0, 1]))
+    before = net.layer("b").params["gamma"].copy()
+    net.sgd_step(net.backward(dl))
+    assert logits.shape == (5, 3)
+    assert not np.array_equal(net.layer("b").params["gamma"], before)
+    with pytest.raises(ShapeError, match="expected 6 channels, got 4"):
+        Brn("b", 6).out_shape((4, 6))
+
+
 @pytest.mark.parametrize("avg_rate", ["x", 1.5, -0.1, float("nan")])
 def test_tinynic_avg_rate_outside_unit_interval_rejected(avg_rate):
     with pytest.raises(ConfigError, match="avg_rate"):

@@ -162,7 +162,7 @@ def test_arrays_match_list_reference(latent):
             assert np.array_equal(rm.payloads, np.stack([it[0] for it in ref.items]))
             assert rm.labels.tolist() == [it[1] for it in ref.items]
             assert rm.origins.tolist() == [it[2] for it in ref.items]
-            idx = rm.sample(min(len(rm), 16), SeededRng(1000 + i))
+            idx = rm.sample(min(len(rm), 16), SeededRng(1000 + i), rows=1)[0]
             got, want = rm.stacked(idx), ref.stacked(idx)
             assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -185,7 +185,8 @@ def test_compose_paper_proportions():
 
 
 def test_compose_empty_memory():
-    for rm in (None, _memory_with(0)):
+    # a run without replay holds a capacity-0 memory
+    for rm in (ReplayMemory(0, SeededRng(10)), _memory_with(0)):
         assert compose_minibatch(rm, 300, 64) == (64, 0)
         assert compose_minibatch(rm, 20, 64) == (20, 0)
 
@@ -218,16 +219,16 @@ def test_compose_leaves_every_rng_counter_where_it_was():
 
 def test_sample_negative_count_raises():
     with pytest.raises(ValueError):
-        _memory_with(10).sample(-2, SeededRng(0))
+        _memory_with(10).sample(-2, SeededRng(0), rows=1)
 
 
-@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("rows", [1, 3])
 def test_sample_with_replacement_warns_once_per_call(rows):
     rm = _memory_with(5)
     with pytest.warns(UserWarning, match="with replacement") as caught:
         idx = rm.sample(12, SeededRng(15), rows=rows)
     assert len(caught) == 1
-    assert idx.shape == ((12,) if rows is None else (rows, 12))
+    assert idx.shape == (rows, 12)
     assert idx.min() >= 0 and idx.max() < 5
 
 

@@ -349,15 +349,12 @@ def test_f_nondecreasing_and_bounded_across_batches():
 
 def assert_same_state(a, b):
     """Every ``state()`` entry trainers ``a`` and ``b`` both carry agrees
-    bit for bit. Of ``counters``, both carry the trainer's own two, which
-    lead; a memory's follow them."""
+    bit for bit."""
     sa, sb = a.state(), b.state()
     shared = [k for k in sa if k in sb]
     assert "counters" in shared and "fc.w" in shared
     for key in shared:
         va, vb = sa[key], sb[key]
-        if key == "counters":
-            va, vb = va[:2], vb[:2]
         assert va.dtype == vb.dtype and va.shape == vb.shape, key
         assert va.tobytes() == vb.tobytes(), key
     return shared
@@ -589,17 +586,29 @@ def test_dslda_strategy_never_touches_network():
     assert preds.shape == (8,)
 
 
-def test_zero_capacity_replay_reduces_to_naive():
-    batches = tinynic_batches(seed=16)
-    net_a = build_tinynic_network(classes=6, seed=17)
-    net_b = build_tinynic_network(classes=6, seed=17)
-    a = ContinualTrainer(net_a, StrategyConfig(strategy="naive"), seed=3)
-    b = ContinualTrainer(net_b, StrategyConfig(
-        strategy="naive", replay_kind="native", rm_capacity=0), seed=3)
-    for x, y in batches:
-        a.train_batch(x, y)
-        b.train_batch(x, y)
-    assert_same_state(a, b)
+@pytest.mark.parametrize("strategy, tap", [("naive", "relu3"), ("cwr*", "pool"),
+                                           ("ar1*", "relu3")])
+def test_zero_capacity_replay_reduces_to_no_replay(strategy, tap):
+    """A run without replay holds a capacity-0 memory: with ``replay_kind``
+    None or "native" at capacity 0, the same run gives the same loss
+    traces, logits and ``state()``, keys and bits."""
+    test_x = SeededRng(18).normal((10, 1, 16, 16))
+    runs, states = [], []
+    for memory in ({}, dict(replay_kind="native", rm_capacity=0)):
+        net = build_tinynic_network(classes=6, seed=17, width=4, tap=tap)
+        trainer = ContinualTrainer(net, StrategyConfig(strategy=strategy, epochs=1, mb=16,
+                                                       **memory), seed=3)
+        run = []
+        for x, y in tinynic_batches(seed=16):
+            run.append(trainer.train_batch(x, y).loss_trace)
+            run.append(trainer.predict_logits(test_x).tobytes())
+        runs.append(run)
+        states.append({k: (v.dtype.str, v.shape, v.tobytes())
+                       for k, v in trainer.state().items()})
+    assert runs[0] == runs[1]
+    assert list(states[0]) == list(states[1])
+    for key, entry in states[0].items():
+        assert entry == states[1][key], key
 
 
 def test_ar1free_equals_ar1_with_lambda_zero():

@@ -14,12 +14,21 @@ The record keeps both ``summary.json`` files as written and, per block
 (every strategy block, then ``cumulative``) and per side, the mean final
 accuracy rounded to 4 decimals and the raw per-seed minimum and maximum,
 plus whether the change's mean lies within the parent's per-seed range.
+Then, per block, the paired per-seed differences (change - parent) with
+their mean, min, max and up/down/tie counts, an exact two-sided sign-test
+p over the seeds that moved, and ``null_sd``: the sd of the block's paired
+differences in ``ACC_30.json``. That change moved the trainer's RNG stream
+and nothing else, so its differences measure the spread a change that only
+reshuffles the draws gives; a memory-free block, whose bits it kept, reads
+0 there.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -28,6 +37,7 @@ WHAT = ("Final test accuracy over net seeds 1-10 for every block of "
         "summary.json as written.")
 COMMAND = ("PYTHONPATH=src python3 -m latentreplay run "
            "--config tools/accuracy_blocks.json --out <dir>")
+NULL_RECORD = Path(__file__).resolve().parent.parent / "ACC_30.json"
 
 
 def _side(entry: dict) -> tuple[float, float, float]:
@@ -36,8 +46,8 @@ def _side(entry: dict) -> tuple[float, float, float]:
     return entry["final_accuracy_mean"], min(finals), max(finals)
 
 
-def blocks(parent_summary: dict, change_summary: dict) -> dict:
-    """Per-block comparison of two ``summary.json`` documents."""
+def _entries(parent_summary: dict, change_summary: dict) -> tuple[dict, dict]:
+    """Each summary's blocks by name (strategies, then ``cumulative``)."""
     def entries(summary):
         out = dict(summary["strategies"])
         if "cumulative" in summary:
@@ -48,6 +58,54 @@ def blocks(parent_summary: dict, change_summary: dict) -> dict:
     if list(parent) != list(change):
         raise ValueError(f"the two runs hold different blocks: {list(parent)} "
                          f"against {list(change)}")
+    return parent, change
+
+
+def _diffs(parent: dict, change: dict) -> dict:
+    """Seed -> change - parent final accuracy of one block."""
+    if list(parent["per_seed"]) != list(change["per_seed"]):
+        raise ValueError("the two runs hold different seeds")
+    return {seed: change["per_seed"][seed]["final_accuracy"] - row["final_accuracy"]
+            for seed, row in parent["per_seed"].items()}
+
+
+def sign_test_p(up: int, down: int) -> float:
+    """Exact two-sided sign-test p of ``up`` rises against ``down`` falls."""
+    n = up + down
+    tail = sum(math.comb(n, i) for i in range(min(up, down) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def null_sds(null_record: dict) -> dict:
+    """Block -> sample sd of its paired per-seed differences in a record."""
+    parent, change = _entries(null_record["parent_summary"], null_record["change_summary"])
+    return {name: statistics.stdev(_diffs(parent[name], change[name]).values())
+            for name in parent}
+
+
+def paired(parent_summary: dict, change_summary: dict, null_sd: dict) -> dict:
+    """Per-block paired per-seed differences, their summary and sign test;
+    ``null_sd`` is None for a block the null record does not hold."""
+    parent, change = _entries(parent_summary, change_summary)
+    out = {}
+    for name in parent:
+        d = _diffs(parent[name], change[name])
+        up, down = sum(v > 0 for v in d.values()), sum(v < 0 for v in d.values())
+        sd = null_sd.get(name)
+        out[name] = {
+            "diffs": {seed: round(v, 6) for seed, v in d.items()},
+            "diff_mean": round(statistics.fmean(d.values()), 6),
+            "diff_min": round(min(d.values()), 6), "diff_max": round(max(d.values()), 6),
+            "up": up, "down": down, "tie": len(d) - up - down,
+            "sign_p": round(sign_test_p(up, down), 4),
+            "null_sd": None if sd is None else round(sd, 6),
+        }
+    return out
+
+
+def blocks(parent_summary: dict, change_summary: dict) -> dict:
+    """Per-block comparison of two ``summary.json`` documents."""
+    parent, change = _entries(parent_summary, change_summary)
     out = {}
     for name in parent:
         p_mean, p_min, p_max = _side(parent[name])
@@ -62,6 +120,8 @@ def blocks(parent_summary: dict, change_summary: dict) -> dict:
 
 def record(label, parent: str, parent_summary: dict, change_summary: dict,
            notes=()) -> dict:
+    null_sd = null_sds(json.loads(NULL_RECORD.read_text()))
+    pairs = paired(parent_summary, change_summary, null_sd)
     return {
         "label": label,
         "what": WHAT,
@@ -69,7 +129,8 @@ def record(label, parent: str, parent_summary: dict, change_summary: dict,
         "parent": parent,
         "change": "the commit that adds this file",
         "notes": list(notes),
-        "blocks": blocks(parent_summary, change_summary),
+        "blocks": {name: {**old, **pairs[name]}
+                   for name, old in blocks(parent_summary, change_summary).items()},
         "parent_summary": parent_summary,
         "change_summary": change_summary,
     }
