@@ -73,14 +73,10 @@ class ReplayMemory:
         return h, replace_n
 
     def sample(self, k: int, rng: SeededRng, rows: int):
-        """``rows`` consecutive draws of k item indices from ``rng`` as one
-        ``[rows, k]`` array, each row uniform without replacement
-        (with-replacement fallback, signalled by one warning per call, when
-        k exceeds the memory)."""
-        replace = k > len(self)
-        if replace:
-            warnings.warn("minibatch larger than memory; sampling with replacement")
-        return rng.choice_rows(rows, len(self), k, replace)
+        """``rows`` consecutive draws of k distinct item indices from ``rng``
+        as one ``[rows, k]`` array, each row uniform without replacement;
+        ``ValueError`` when k exceeds the memory."""
+        return rng.choice_rows(rows, len(self), k)
 
     def stacked(self, indices) -> tuple[np.ndarray, np.ndarray]:
         return self.payloads[indices], self.labels[indices]
@@ -93,15 +89,18 @@ def _keep_then_append(stored: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
 
 
 def compose_minibatch(rm: ReplayMemory, batch_size: int, mb: int):
-    """Split a mini-batch of size ``mb`` between native and replay rows:
-    n_native = round(mb * B / (B + |rm|)), or min(mb, B) with an empty
-    memory. Draws nothing. Returns (n_native, n_replay)."""
-    if mb < 1:
-        raise ConfigError("mini-batch size must be >= 1")
-    if len(rm) == 0:
-        return min(mb, batch_size), 0
-    n_native = round(mb * batch_size / (batch_size + len(rm)))
-    return n_native, mb - n_native
+    """Split a step of at most ``mb`` rows between the batch's B native rows
+    and the memory's items in proportion to their sizes:
+    m = min(mb, B + |rm|), n_native = max(1, round(m * B / (B + |rm|))),
+    n_replay = m - n_native. So 1 <= n_native <= B and n_replay <= |rm|;
+    an empty memory gives (min(mb, B), 0). Draws nothing. Returns
+    (n_native, n_replay)."""
+    if mb < 1 or batch_size < 1:
+        raise ConfigError("mini-batch and batch sizes must be >= 1")
+    pool = batch_size + len(rm)
+    m = min(mb, pool)
+    n_native = max(1, round(m * batch_size / pool))
+    return n_native, m - n_native
 
 
 def l1_activation_penalty(acts: np.ndarray, alpha: float):

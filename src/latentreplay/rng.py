@@ -74,20 +74,17 @@ class SeededRng:
         u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
         return lo + np.minimum((u * span).astype(np.int64), span - 1)
 
-    def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
-        """Sample k indices from range(n), uniformly, without replacement
-        by default. Always consumes exactly n draws when replace=False."""
-        return self.choice_rows(1, n, k, replace)[0]
+    def choice(self, n: int, k: int) -> np.ndarray:
+        """Sample k distinct indices from range(n), uniformly. Always
+        consumes exactly n draws."""
+        return self.choice_rows(1, n, k)[0]
 
-    def choice_rows(self, rows: int, n: int, k: int, replace: bool = False) -> np.ndarray:
-        """``rows`` consecutive ``choice(n, k, replace)`` draws as one
-        ``[rows, k]`` array: row j reads the integers draw j would."""
-        if k < 0:
-            raise ValueError(f"cannot draw {k} indices")
-        if replace:
-            return self.randint(0, n, rows * k).reshape(rows, k)
-        if k > n:
-            raise ValueError(f"cannot draw {k} from {n} without replacement")
+    def choice_rows(self, rows: int, n: int, k: int) -> np.ndarray:
+        """``rows`` consecutive ``choice(n, k)`` draws as one ``[rows, k]``
+        array: row j reads the integers draw j would. ``ValueError`` when
+        k is negative or exceeds n."""
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot draw {k} distinct indices from {n}")
         keys = self.next_u64(rows * n).reshape(rows, n)
         if k == n:
             return np.argsort(keys, axis=1, kind="stable")

@@ -354,7 +354,6 @@ class ContinualTrainer:
 
         B = len(x)
         n_nat, n_rep = compose_minibatch(self.rm, B, cfg.mb)
-        n_nat = max(n_nat, 1)
         iterations = -(-B // n_nat)
         sparsify = cfg.sparsifier_alpha != 0.0 and i == 1
 
@@ -426,8 +425,7 @@ class ContinualTrainer:
     def _replay_draws(self, k: int, steps: int):
         """Replay indices for ``steps`` consecutive draws of k items from
         ``self.rng``, one row per step, in blocks of at most ``_DRAW_KEYS`` keys."""
-        # a row reads |rm| keys, or k when it samples with replacement
-        block = max(1, _DRAW_KEYS // max(len(self.rm), k))
+        block = max(1, _DRAW_KEYS // len(self.rm))  # a row reads |rm| keys
         for lo in range(0, steps, block):
             yield from self.rm.sample(k, self.rng, rows=min(block, steps - lo))
 

@@ -1,11 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from latentreplay import strategies
 from latentreplay.accounting import memory_footprint
-from latentreplay.errors import ShapeError, StateError
+from latentreplay.errors import ConfigError, ShapeError, StateError
 from latentreplay.presets import build_tinynic_network
 from latentreplay.replay import (ReplayMemory, compose_minibatch,
                                  l1_activation_penalty, sparsity_stats)
@@ -192,16 +190,25 @@ def test_compose_empty_memory():
 
 
 def test_compose_counts_invariants():
+    # a step takes at most B + |RM| rows: no native row twice, no replay item twice
+    for rm_n, B, mb, split in ((5, 6, 64, (6, 5)), (60, 1, 8, (1, 7))):
+        assert compose_minibatch(_memory_with(rm_n), B, mb) == split
     r = SeededRng(14)
-    for _ in range(50):
-        rm_n = int(r.randint(1, 800)[0])
+    for _ in range(80):
+        rm_n = int(r.randint(0, 800)[0])
         rm = _memory_with(rm_n)
         B = int(r.randint(1, 500)[0])
-        mb = int(r.randint(1, min(B + rm_n, 256) + 1)[0])
+        mb = int(r.randint(1, 1400)[0])
         n_nat, n_rep = compose_minibatch(rm, B, mb)
-        assert n_nat + n_rep == mb
-        assert n_nat >= 0 and n_rep >= 0
-        assert n_rep <= rm_n
+        assert 1 <= n_nat <= B
+        assert 0 <= n_rep <= rm_n
+        assert n_nat + n_rep == min(mb, B + rm_n)
+
+
+@pytest.mark.parametrize("B, mb", [(0, 8), (4, 0)])
+def test_compose_rejects_an_empty_batch_or_step(B, mb):
+    with pytest.raises(ConfigError):
+        compose_minibatch(_memory_with(0), B, mb)
 
 
 def test_compose_leaves_every_rng_counter_where_it_was():
@@ -211,9 +218,7 @@ def test_compose_leaves_every_rng_counter_where_it_was():
     trainer.train_batch(SeededRng(5).normal((12, 1, 16, 16)), np.arange(12) % 6)
     counters = trainer.state()["counters"]
     assert len(trainer.rm) == 12 and len(counters) == 4
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # sampling 51 of 12 rows would warn
-        assert compose_minibatch(trainer.rm, 3, 64) == (13, 51)
+    assert compose_minibatch(trainer.rm, 3, 64) == (3, 12)
     assert np.array_equal(trainer.state()["counters"], counters)
 
 
@@ -222,14 +227,9 @@ def test_sample_negative_count_raises():
         _memory_with(10).sample(-2, SeededRng(0), rows=1)
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_sample_with_replacement_warns_once_per_call(rows):
-    rm = _memory_with(5)
-    with pytest.warns(UserWarning, match="with replacement") as caught:
-        idx = rm.sample(12, SeededRng(15), rows=rows)
-    assert len(caught) == 1
-    assert idx.shape == (rows, 12)
-    assert idx.min() >= 0 and idx.max() < 5
+def test_sample_more_items_than_the_memory_holds_raises():
+    with pytest.raises(ValueError):
+        _memory_with(5).sample(6, SeededRng(15), rows=3)
 
 
 # -- pre-caching latents while frames arrive -------------------------------------

@@ -92,8 +92,6 @@ def test_negative_counts_raise_and_leave_the_stream():
         r.next_u64(-2)
     with pytest.raises(ValueError):
         r.choice(5, -1)
-    with pytest.raises(ValueError):
-        r.choice(5, -1, replace=True)
     assert np.array_equal(r.next_u64(2), SeededRng(15).next_u64(5)[3:])
 
 
@@ -138,13 +136,11 @@ def test_choice_is_the_stable_key_sort_prefix(n):
 @pytest.mark.parametrize("rows", [1, 3, 40])
 @pytest.mark.parametrize("n", [1, 7, 48, 1500])
 def test_choice_rows_are_consecutive_choice_draws(n, rows):
-    cases = [(k, False) for k in sorted({0, 1, n // 3, n - 1, n})]
-    cases += [(1, True), (n + 5, True)]
-    for k, replace in cases:
+    for k in sorted({0, 1, n // 3, n - 1, n}):
         batched, single = SeededRng(2024), SeededRng(2024)
-        idx = batched.choice_rows(rows, n, k, replace)
-        ref = np.stack([single.choice(n, k, replace) for _ in range(rows)])
+        idx = batched.choice_rows(rows, n, k)
+        ref = np.stack([single.choice(n, k) for _ in range(rows)])
         assert idx.shape == (rows, k) and idx.dtype == ref.dtype
-        assert np.array_equal(idx, ref), (k, replace)
+        assert np.array_equal(idx, ref), k
         # the stream continues where the consecutive draws leave it
         assert batched.next_u64(1)[0] == single.next_u64(1)[0]

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ def test_scenario_save_load_round_trip(tmp_path):
 def test_manifest_counts(tmp_path):
     scen = generate_tinynic(SMALL, seed=14)
     manifest = save_scenario(scen, tmp_path / "ds")
-    doc = json.loads(open(manifest).read())
+    doc = json.loads(Path(manifest).read_text())
     assert len(doc["batches"]) == SMALL.n_batches()
     assert doc["test"]["file"] == "test.lrt"
 
@@ -303,7 +304,7 @@ def test_corrupted_magic_is_format_error_not_crash(tmp_path):
 def test_manifest_shape_mismatch_errors(tmp_path):
     scen = generate_tinynic(SMALL, seed=17)
     manifest = save_scenario(scen, tmp_path / "ds")
-    doc = json.loads(open(manifest).read())
+    doc = json.loads(Path(manifest).read_text())
     doc["batches"][0]["labels"] = doc["batches"][0]["labels"][:-1]
     with open(manifest, "w") as fh:
         json.dump(doc, fh)
@@ -322,7 +323,7 @@ def test_manifest_without_test_labels_errors(tmp_path):
 @pytest.mark.parametrize("key, value, message", BAD_MANIFEST_VALUES)
 def test_manifest_value_of_wrong_type_errors(tmp_path, key, value, message):
     manifest = save_scenario(generate_tinynic(SMALL, seed=19), tmp_path / "ds")
-    doc = tamper_manifest(json.loads(open(manifest).read()), key, value)
+    doc = tamper_manifest(json.loads(Path(manifest).read_text()), key, value)
     with open(manifest, "w") as fh:
         json.dump(doc, fh)
     with pytest.raises(TensorFormatError) as info:
@@ -339,7 +340,7 @@ def test_manifest_not_an_object_errors(tmp_path):
 
 def test_manifest_labels_not_a_list_errors(tmp_path):
     manifest = save_scenario(generate_tinynic(SMALL, seed=20), tmp_path / "ds")
-    doc = json.loads(open(manifest).read())
+    doc = json.loads(Path(manifest).read_text())
     doc["test"]["labels"] = 5
     with open(manifest, "w") as fh:
         json.dump(doc, fh)

@@ -1058,9 +1058,8 @@ def replay_keys_per_batch(trainer, B):
     given the memory as it stands: per epoch the permutation and one draw
     per step."""
     m, mb = len(trainer.rm), trainer.cfg.mb
-    n_nat = max(round(mb * B / (B + m)), 1)
-    per_draw = max(m, mb - n_nat)  # m keys, or one per index with replacement
-    return trainer.cfg.epochs * (B + -(-B // n_nat) * per_draw)
+    n_nat = round(mb * B / (B + m))
+    return trainer.cfg.epochs * (B + -(-B // n_nat) * m)
 
 
 @pytest.mark.parametrize("draw_keys, blocks", [(None, 1), (70, 3)],
@@ -1101,19 +1100,30 @@ def test_replay_draws_consume_one_key_per_item_per_step(draw_keys, blocks, monke
             assert np.array_equal(la.params[k].view(np.uint32), lb.params[k].view(np.uint32))
 
 
-def test_replay_with_replacement_warns_once_per_draw():
-    """mb > B + |rm|: every draw falls back to sampling with replacement
-    and warns once: each epoch's, which is one step long since the native
-    rows then cover the batch."""
-    net = build_tinynic_network(classes=6, seed=42, width=4, tap="pool")
-    cfg = StrategyConfig(strategy="ar1*free", replay_kind="latent", rm_capacity=5,
-                         epochs=3, mb=64)
+@pytest.mark.parametrize("B, rm_n, mb", [(1, 60, 8), (6, 5, 64)])
+def test_a_step_takes_each_native_row_once_and_distinct_memory_rows(B, rm_n, mb):
+    """A step takes min(mb, B + |RM|) rows: every native row of a batch no
+    larger than its share once, and distinct memory items for the rest."""
+    net = build_tinynic_network(classes=6, seed=42, width=4)
+    cfg = StrategyConfig(strategy="naive", replay_kind="native", rm_capacity=rm_n,
+                         epochs=3, mb=mb)
     trainer = ContinualTrainer(net, cfg, seed=13)
-    (x1, y1), (x2, y2) = tinynic_batches(2, per_batch=6, seed=43)
+    (x1, y1), (x2, y2) = tinynic_batches(2, per_batch=max(B, rm_n), seed=43)
     trainer.train_batch(x1, y1)
-    counter, expected = trainer.rng._counter, replay_keys_per_batch(trainer, len(x2))
-    with pytest.warns(UserWarning, match="with replacement") as caught:
-        report = trainer.train_batch(x2, y2)
-    assert len([w for w in caught if "with replacement" in str(w.message)]) == cfg.epochs
-    assert trainer.rng._counter - counter == expected
-    assert np.isfinite(report.loss_trace).all()
+    assert len(trainer.rm) == rm_n
+    memory = {row.tobytes() for row in trainer.rm.payloads}
+    steps, forward = [], net.forward
+    net.forward = lambda rows: steps.append(rows.copy()) or forward(rows)
+    counter = trainer.rng._counter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trainer.train_batch(x2[:B], y2[:B])
+    # one step per epoch: the permutation's B keys, then the draw's |RM|
+    assert len(steps) == cfg.epochs
+    assert trainer.rng._counter - counter == cfg.epochs * (B + rm_n)
+    for rows in steps:
+        assert len(rows) == min(mb, B + rm_n)
+        native = sorted(r.tobytes() for r in rows[:B])
+        assert native == sorted(r.tobytes() for r in x2[:B])
+        replayed = [r.tobytes() for r in rows[B:]]
+        assert len(set(replayed)) == len(replayed) and set(replayed) <= memory
