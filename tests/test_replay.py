@@ -227,9 +227,15 @@ def test_sample_negative_count_raises():
         _memory_with(10).sample(-2, SeededRng(0), rows=1)
 
 
-def test_sample_more_items_than_the_memory_holds_raises():
-    with pytest.raises(ValueError):
-        _memory_with(5).sample(6, SeededRng(15), rows=3)
+@pytest.mark.parametrize("rows", [1, 3])
+def test_sample_more_items_than_the_memory_holds_raises(rows):
+    rm = _memory_with(5)
+    for n in (6, 12):
+        with pytest.raises(ValueError):
+            rm.sample(n, SeededRng(15), rows=rows)
+    idx = rm.sample(5, SeededRng(15), rows=rows)
+    assert idx.shape == (rows, 5)
+    assert all(sorted(r) == list(range(5)) for r in idx.tolist())
 
 
 # -- pre-caching latents while frames arrive -------------------------------------
